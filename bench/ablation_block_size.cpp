@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "fma/pcs_config.hpp"
+#include "fma/cs_fma.hpp"
 #include "fpga/device.hpp"
 #include "harness.hpp"
 #include "telemetry/report.hpp"
@@ -20,12 +20,12 @@ int main(int argc, char** argv) {
   const Device dev = virtex6();
   Rng rng(5150);
 
-  // Host-perf phase: the generic-geometry PCS unit on the paper's 55/11
+  // Host-perf phase: the CS unit built from the paper's 55/11 geometry
   // point (the full geometry sweep runs once below).
   BenchHarness harness("ablation_block_size", hopts);
   {
     constexpr std::uint64_t kOps = 2000;
-    GenPcsFma unit(PcsConfig{55, 11});
+    CsFma unit(CsGeometry::pcs(55, 11));
     Rng prng(5151);
     harness.measure(
         "gen_pcs.55_11",
@@ -58,12 +58,14 @@ int main(int argc, char** argv) {
               "max ulp");
   std::printf("%.*s\n", 76, "--------------------------------------------------"
                             "--------------------------");
-  const PcsConfig sweep[] = {
-      {22, 11}, {33, 11}, {44, 11}, {44, 4},  {55, 5},
-      {55, 11}, {55, 55}, {56, 4},  {56, 8},  {56, 14}, {56, 28},
+  const CsGeometry sweep[] = {
+      CsGeometry::pcs(22, 11), CsGeometry::pcs(33, 11), CsGeometry::pcs(44, 11),
+      CsGeometry::pcs(44, 4),  CsGeometry::pcs(55, 5),  CsGeometry::pcs(55, 11),
+      CsGeometry::pcs(55, 55), CsGeometry::pcs(56, 4),  CsGeometry::pcs(56, 8),
+      CsGeometry::pcs(56, 14), CsGeometry::pcs(56, 28),
   };
-  for (const PcsConfig& cfg : sweep) {
-    GenPcsFma unit(cfg);
+  for (const CsGeometry& cfg : sweep) {
+    CsFma unit(cfg);
     double sum = 0, worst = 0;
     const int trials = 4000;
     int counted = 0;
@@ -82,19 +84,19 @@ int main(int argc, char** argv) {
     }
     const double mean = sum / counted;
     std::printf("%5d %5d | %6db | %7.3fns | %2d:1 | %6d | %10.4f | %10.2f%s\n",
-                cfg.block, cfg.group, cfg.operand_bits(),
-                dev.adder_delay_ns(cfg.group), cfg.adder_blocks() - 1,
+                cfg.block(), cfg.group(), cfg.operand_bits(),
+                dev.adder_delay_ns(cfg.group()), cfg.adder_blocks() - 1,
                 cfg.guaranteed_digits(), mean, worst,
-                (cfg.block == 55 && cfg.group == 11) ? "   <- paper" : "");
-    const std::string key = "geom." + std::to_string(cfg.block) + "." +
-                            std::to_string(cfg.group);
+                (cfg.block() == 55 && cfg.group() == 11) ? "   <- paper" : "");
+    const std::string key = "geom." + std::to_string(cfg.block()) + "." +
+                            std::to_string(cfg.group());
     report.metric(key + ".operand_bits", (std::uint64_t)cfg.operand_bits());
     report.metric(key + ".guaranteed_digits",
                   (std::uint64_t)cfg.guaranteed_digits());
     report.metric(key + ".mean_ulp", mean);
     report.metric(key + ".max_ulp", worst);
-    rows.push_back({cfg.block, cfg.group, cfg.operand_bits(),
-                    dev.adder_delay_ns(cfg.group), cfg.adder_blocks() - 1,
+    rows.push_back({cfg.block(), cfg.group(), cfg.operand_bits(),
+                    dev.adder_delay_ns(cfg.group()), cfg.adder_blocks() - 1,
                     cfg.guaranteed_digits(), mean, worst});
   }
   (void)rng;

@@ -8,8 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "fma/fcs_fma.hpp"
-#include "fma/pcs_format.hpp"
+#include "fma/cs_fma.hpp"
 #include "fpga/architectures.hpp"
 #include "harness.hpp"
 #include "telemetry/report.hpp"
@@ -26,8 +25,8 @@ int main(int argc, char** argv) {
   {
     constexpr std::uint64_t kOps = 2000;
     Rng prng(31338);
-    FcsFma lza_u(nullptr, FcsSelect::EarlyLza);
-    FcsFma zd_u(nullptr, FcsSelect::ZeroDetect);
+    CsFma lza_u(CsGeometry::fcs(BlockSelect::Lza));
+    CsFma zd_u(CsGeometry::fcs(BlockSelect::Zd));
     harness.measure(
         "fcs_cancellation",
         [&] {
@@ -66,8 +65,8 @@ int main(int argc, char** argv) {
 
   // ---- accuracy under partial cancellation ----
   Rng rng(31337);
-  FcsFma lza(nullptr, FcsSelect::EarlyLza);
-  FcsFma zd(nullptr, FcsSelect::ZeroDetect);
+  CsFma lza(CsGeometry::fcs(BlockSelect::Lza));
+  CsFma zd(CsGeometry::fcs(BlockSelect::Zd));
   int lza_lost = 0, zd_lost = 0;
   const int trials = 20000;
   for (int t = 0; t < trials; ++t) {
@@ -78,7 +77,7 @@ int main(int argc, char** argv) {
     PFloat b = PFloat::from_double(kBinary64, bd);
     PFloat c = PFloat::from_double(kBinary64, cd);
     PFloat ref = PFloat::fma(b, c, a, kWideExact, Round::NearestEven);
-    auto err = [&](FcsFma& u) {
+    auto err = [&](CsFma& u) {
       return PFloat::ulp_error(u.fma_ieee(a, b, c, Round::HalfAwayFromZero),
                                ref, 52);
     };

@@ -10,8 +10,8 @@
 
 #include "common/rng.hpp"
 #include "fma/discrete.hpp"
+#include "fma/cs_fma.hpp"
 #include "fma/dot_product.hpp"
-#include "fma/pcs_fma.hpp"
 #include "harness.hpp"
 #include "telemetry/report.hpp"
 
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const ReportCliArgs out_paths = extract_report_args(argc, argv);
   Rng rng(8080);
   PcsDotProduct fused;
-  PcsFma fma;
+  CsFma fma(kPcsGeometry);
   DiscreteMulAdd coregen;
 
   // Host-perf phase: the fused unit on fixed 16-term dots (the accuracy
@@ -78,10 +78,11 @@ int main(int argc, char** argv) {
       for (const auto& [a, b] : terms) acc = coregen.mul_add(acc, a, b);
       e_disc += PFloat::ulp_error(acc, ref, 52);
       // (b) FMA chain.
-      PcsOperand pacc = ieee_to_pcs(PFloat::zero(kBinary64, false));
-      for (const auto& [a, b] : terms) pacc = fma.fma(pacc, a, ieee_to_pcs(b));
+      CsOperand pacc = ieee_to_cs(kPcsGeometry, PFloat::zero(kBinary64, false));
+      for (const auto& [a, b] : terms)
+        pacc = fma.fma(pacc, a, ieee_to_cs(kPcsGeometry, b));
       e_chain += PFloat::ulp_error(
-          pcs_to_ieee(pacc, kBinary64, Round::HalfAwayFromZero), ref, 52);
+          cs_to_ieee(pacc, kBinary64, Round::HalfAwayFromZero), ref, 52);
       // (c) fused dot.
       e_fused += PFloat::ulp_error(
           fused.dot_ieee(terms, Round::HalfAwayFromZero), ref, 52);

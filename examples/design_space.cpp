@@ -7,8 +7,7 @@
 #include <cstdio>
 
 #include "common/rng.hpp"
-#include "fma/fcs_fma.hpp"
-#include "fma/pcs_config.hpp"
+#include "fma/cs_fma.hpp"
 #include "fpga/architectures.hpp"
 
 namespace {
@@ -63,7 +62,7 @@ int main() {
   }
   {
     const auto& r = report("PCS-FMA");
-    GenPcsFma unit(kPaperPcs);
+    CsFma unit(kPcsGeometry);
     double ulp = mean_ulp([&](const PFloat& a, const PFloat& b, const PFloat& c) {
       return unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
     });
@@ -71,20 +70,21 @@ int main() {
                 "PCS-FMA 55/11 (paper)", r.min_ma_time_ns(), r.cycles, r.luts,
                 r.dsps, ulp);
   }
-  for (PcsConfig cfg : {kPcs56g14, PcsConfig{44, 11}, PcsConfig{33, 11},
-                        PcsConfig{22, 11}}) {
-    GenPcsFma unit(cfg);
+  for (const CsGeometry& cfg :
+       {CsGeometry::pcs(56, 14), CsGeometry::pcs(44, 11),
+        CsGeometry::pcs(33, 11), CsGeometry::pcs(22, 11)}) {
+    CsFma unit(cfg);
     double ulp = mean_ulp([&](const PFloat& a, const PFloat& b, const PFloat& c) {
       return unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
     });
     char name[32];
-    std::snprintf(name, sizeof name, "PCS-FMA %d/%d", cfg.block, cfg.group);
+    std::snprintf(name, sizeof name, "PCS-FMA %d/%d", cfg.block(), cfg.group());
     std::printf("%-22s | %8s | %6s | %6s | %4s | %9.4f   (%db operands)\n",
                 name, "~", "~", "~", "~", ulp, cfg.operand_bits());
   }
   {
     const auto& r = report("FCS-FMA");
-    FcsFma unit;
+    CsFma unit(kFcsGeometry);
     double ulp = mean_ulp([&](const PFloat& a, const PFloat& b, const PFloat& c) {
       return unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
     });
@@ -93,7 +93,7 @@ int main() {
   }
   {
     SynthesisReport r = synthesize("fcs-zd", build_fcs_fma_zd(dev), dev, 200.0);
-    FcsFma unit(nullptr, FcsSelect::ZeroDetect);
+    CsFma unit(CsGeometry::fcs(BlockSelect::Zd));
     double ulp = mean_ulp([&](const PFloat& a, const PFloat& b, const PFloat& c) {
       return unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
     });

@@ -11,14 +11,13 @@
 //   3. the exact-value introspection used to reason about accuracy.
 #include <cstdio>
 
-#include "fma/fcs_fma.hpp"
-#include "fma/pcs_fma.hpp"
+#include "fma/cs_fma.hpp"
 
 int main() {
   using namespace csfma;
 
   // ---- 1. One fused operation, IEEE in / IEEE out ----
-  PcsFma pcs;
+  CsFma pcs(kPcsGeometry);
   PFloat a = PFloat::from_double(kBinary64, 0.1);
   PFloat b = PFloat::from_double(kBinary64, 10.0);
   PFloat c = PFloat::from_double(kBinary64, 0.2);
@@ -41,21 +40,23 @@ int main() {
   const double t = -1.0 + 0x1p-27;
   PFloat ft = PFloat::from_double(kBinary64, t);
   PFloat one = PFloat::from_double(kBinary64, 1.0);
-  PcsOperand acc = ieee_to_pcs(one);  // acc = 1
+  CsOperand acc = ieee_to_cs(kPcsGeometry, one);  // acc = 1
   for (int i = 0; i < 3; ++i) {
     // acc = 1 + t * acc   (A = 1, B = t, C = acc: C stays in carry-save)
-    acc = pcs.fma(ieee_to_pcs(one), ft, acc);
+    acc = pcs.fma(ieee_to_cs(kPcsGeometry, one), ft, acc);
   }
-  double fused = pcs_to_ieee(acc, kBinary64, Round::HalfAwayFromZero).to_double();
+  double fused =
+      cs_to_ieee(acc, kBinary64, Round::HalfAwayFromZero).to_double();
   double plain = 1.0;
   for (int i = 0; i < 3; ++i) plain = 1.0 + t * plain;
   std::printf("Horner near the root: fused=%.17g plain=%.17g\n", fused, plain);
 
-  // ---- FCS: same API, 3-cycle unit for Virtex-6+ ----
-  FcsFma fcs;
+  // ---- FCS: same unit, the full-carry-save geometry (3-cycle unit for
+  //      Virtex-6+) ----
+  CsFma fcs(kFcsGeometry);
   PFloat rf = fcs.fma_ieee(a, b, c, Round::HalfAwayFromZero);
   std::printf("FCS-FMA: 0.1 + 10*0.2 = %.17g\n", rf.to_double());
   std::printf("exact operand value introspection: %s\n",
-              ieee_to_fcs(rf).exact_value().to_string().c_str());
+              ieee_to_cs(kFcsGeometry, rf).exact_value().to_string().c_str());
   return 0;
 }

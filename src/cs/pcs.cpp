@@ -18,11 +18,12 @@ CsWord group_position_mask(int width, int group) {
 }  // namespace
 
 PcsNum::PcsNum(int width, int group, CsWord sum, CsWord carries)
-    : width_(width), group_(group), sum_(sum), carries_(carries) {
-  CSFMA_CHECK_MSG(width >= 1 && width <= kCsWordBits, "PCS width");
+    : group_(group), cs_(width, sum, carries) {
   CSFMA_CHECK_MSG(group >= 1 && group <= width, "PCS group");
-  CSFMA_CHECK_MSG((sum_ & ~CsWord::mask(width)).is_zero(), "sum plane overflow");
-  CSFMA_CHECK_MSG((carries_ & ~group_position_mask(width, group)).is_zero(),
+  // Group 1 (full carry-save) allows a carry at every digit of the window,
+  // which the CsNum plane checks already cover.
+  CSFMA_CHECK_MSG(group == 1 ||
+                      (carries & ~group_position_mask(width, group)).is_zero(),
                   "carry bits off the group grid");
 }
 
@@ -31,10 +32,10 @@ PcsNum PcsNum::zero(int width, int group) {
 }
 
 PcsNum PcsNum::extract_digits(int lo, int len) const {
-  CSFMA_CHECK(lo >= 0 && len >= 1 && lo + len <= width_);
+  CSFMA_CHECK(lo >= 0 && len >= 1 && lo + len <= width());
   CSFMA_CHECK_MSG(lo % group_ == 0, "extraction must be group-aligned");
-  return PcsNum(len, group_ <= len ? group_ : len, sum_.extract(lo, len),
-                carries_.extract(lo, len));
+  return PcsNum(len, group_ <= len ? group_ : len, sum().extract(lo, len),
+                carries().extract(lo, len));
 }
 
 PcsNum carry_reduce(const CsNum& x, int group) {

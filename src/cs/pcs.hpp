@@ -23,27 +23,26 @@ class PcsNum {
 
   static PcsNum zero(int width, int group);
 
-  int width() const { return width_; }
+  int width() const { return cs_.width(); }
   int group() const { return group_; }
-  const CsWord& sum() const { return sum_; }
-  const CsWord& carries() const { return carries_; }
+  const CsWord& sum() const { return cs_.sum(); }
+  const CsWord& carries() const { return cs_.carry(); }
 
-  int num_carry_positions() const { return (width_ + group_ - 1) / group_; }
+  int num_carry_positions() const { return (width() + group_ - 1) / group_; }
 
   /// View as a generic CS pair (digit i = sum_i + carries_i).
-  CsNum as_cs() const { return CsNum(width_, sum_, carries_); }
+  const CsNum& as_cs() const { return cs_; }
 
-  CsWord to_binary() const { return as_cs().to_binary(); }
-  CsWord signed_value() const { return as_cs().signed_value(); }
+  CsWord to_binary() const { return cs_.to_binary(); }
+  CsWord signed_value() const { return cs_.signed_value(); }
 
   /// Extract `len` digits starting at `lo`; `lo` must be group-aligned so
   /// the carry positions of the extraction remain group-aligned.
   PcsNum extract_digits(int lo, int len) const;
 
  private:
-  int width_;
   int group_;
-  CsWord sum_, carries_;
+  CsNum cs_;
 };
 
 /// The Carry Reduction block (Fig 9): assimilate each `group`-wide digit

@@ -2,25 +2,9 @@
 
 namespace csfma::dse {
 
-const char* to_string(BlockSelect s) {
-  return s == BlockSelect::Zd ? "zd" : "lza";
-}
-
-bool parse_block_select(std::string_view s, BlockSelect& out) {
-  if (s == "lza") {
-    out = BlockSelect::Lza;
-    return true;
-  }
-  if (s == "zd") {
-    out = BlockSelect::Zd;
-    return true;
-  }
-  return false;
-}
-
 std::string DseConfig::validate() const {
-  // The block range mirrors PcsConfig::validate (8..62 keeps the adder
-  // inside one CsWord); the FCS model shares it for uniformity.
+  // The block range mirrors CsGeometry::validate (8..62 keeps the PCS
+  // adder inside one CsWord); the FCS model shares it for uniformity.
   if (block < 8 || block > 62) return "field \"block\" must be in 8..62";
   if (group < 2 || group > 63) return "field \"group\" must be in 2..63";
   if (unit == UnitKind::Pcs && block % group != 0)

@@ -19,13 +19,12 @@
 
 namespace csfma::dse {
 
-/// Result-block selection strategy knob (protocol-level mirror of
-/// FcsSelect; the PCS unit always uses its exact zero detector, so the
-/// knob only differentiates FCS designs).
-enum class BlockSelect { Lza, Zd };
-
-const char* to_string(BlockSelect s);
-bool parse_block_select(std::string_view s, BlockSelect& out);
+/// Result-block selection strategy knob: the unit's own BlockSelect (the
+/// PCS unit always uses its exact zero detector, so the knob only
+/// differentiates FCS designs).
+using csfma::BlockSelect;
+using csfma::parse_block_select;
+using csfma::to_string;
 
 /// One design point.  Field defaults reproduce the paper's shipping
 /// PCS geometry at a mid-depth pipeline cut.

@@ -7,8 +7,6 @@
 #include "cs/csa_tree.hpp"
 #include "energy/energy_model.hpp"
 #include "energy/workload.hpp"
-#include "fma/fcs_fma.hpp"
-#include "fma/pcs_config.hpp"
 #include "fpga/architectures.hpp"
 
 namespace csfma::dse {
@@ -62,15 +60,16 @@ std::vector<Component> build_classic(const DseConfig& cfg, const Device& dev) {
 }
 
 std::vector<Component> build_pcs(const DseConfig& cfg, const Device& dev) {
-  // build_pcs_fma generalized over PcsConfig geometry and the rounding
+  // build_pcs_fma generalized over the PCS geometry and the rounding
   // width.  Every area is the Fig 9 baseline scaled by the width ratio of
   // the structure it implements; at (55, 11, rwidth 55) all ratios are 1.
-  const PcsConfig pc{cfg.block, cfg.group};
-  const PcsConfig base{55, 11};
-  const int tiles = ((pc.mant_digits() + 16) / 17) * 3;  // DSP48 17x24 grid
+  const CsGeometry pc = CsGeometry::pcs(cfg.block, cfg.group);
+  const CsGeometry& base = kPcsGeometry;
+  const int tiles = pc.dsp_tiles();  // DSP48 17x24 grid
   const int tree_levels = csa_levels_for_rows(tiles + 1);
   const int base_levels = csa_levels_for_rows(21 + 1);
-  const double w_adder = pc.adder_width() / static_cast<double>(base.adder_width());
+  const double w_adder =
+      pc.adder_width() / static_cast<double>(base.adder_width());
   const double w_rw = cfg.resolved_round_width() / static_cast<double>(cfg.block);
   const int mux_inputs = pc.adder_blocks() - 1;
   const int mux_levels = mux_inputs <= 6 ? 2 : 3;
@@ -152,8 +151,11 @@ std::vector<Component> build_fcs(const DseConfig& cfg, const Device& dev) {
 }
 
 /// Toggles per multiply-add of the configured unit on the Sec. IV-B
-/// recurrence stream (cfg.ops operations, IEEE boundaries).  Pure in
-/// (unit, geometry, select, rm, seed, ops).
+/// recurrence stream (cfg.ops operations, IEEE boundaries).  PCS points
+/// simulate their own (block, group) geometry and count its CS adder
+/// stage only; FCS points simulate the paper's 29-digit geometry with the
+/// configured select (the FCS block knob is modelled, not simulated).
+/// Pure in (unit, geometry, select, rm, seed, ops).
 double measure_model_toggles(const DseConfig& cfg) {
   const int runs =
       static_cast<int>((cfg.ops + 31) / 32);  // 32 triples per depth-18 run
@@ -162,26 +164,26 @@ double measure_model_toggles(const DseConfig& cfg) {
   src.fill(0, ops.data(), ops.size());
 
   ActivityRecorder rec;
+  std::unique_ptr<FmaUnit> unit;
   switch (cfg.unit) {
-    case UnitKind::Pcs: {
-      GenPcsFma unit(PcsConfig{cfg.block, cfg.group}, &rec);
-      for (const auto& t : ops) unit.fma_ieee(t.a, t.b, t.c, cfg.rm);
+    case UnitKind::Pcs:
+      unit = make_cs_unit(CsGeometry::pcs(cfg.block, cfg.group), &rec);
       break;
-    }
-    case UnitKind::Fcs: {
-      FcsFma unit(&rec, cfg.select == BlockSelect::Zd ? FcsSelect::ZeroDetect
-                                                      : FcsSelect::EarlyLza);
-      for (const auto& t : ops) unit.fma_ieee(t.a, t.b, t.c, cfg.rm);
+    case UnitKind::Fcs:
+      unit = make_cs_unit(CsGeometry::fcs(cfg.select), &rec);
       break;
-    }
-    default: {
-      std::unique_ptr<FmaUnit> unit = make_fma_unit(cfg.unit, &rec);
-      for (const auto& t : ops) unit->fma_ieee(t.a, t.b, t.c, cfg.rm);
+    default:
+      unit = make_fma_unit(cfg.unit, &rec);
       break;
-    }
   }
-  return static_cast<double>(rec.total_toggles()) /
-         static_cast<double>(cfg.ops);
+  std::vector<PFloat> out(ops.size());
+  FmaBatchHooks hooks;
+  hooks.rm = cfg.rm;
+  unit->fma_ieee_batch(ops.data(), ops.size(), out.data(), hooks);
+  const std::uint64_t toggles = cfg.unit == UnitKind::Pcs
+                                    ? rec.stage_totals()["add"].toggles
+                                    : rec.total_toggles();
+  return static_cast<double>(toggles) / static_cast<double>(cfg.ops);
 }
 
 /// (alpha, beta) calibrated once against the Table II anchors — the

@@ -1,0 +1,637 @@
+#include "fma/cs_fma.hpp"
+
+#include <algorithm>
+
+#include "common/check.hpp"
+#include "cs/lza.hpp"
+#include "cs/zero_detect.hpp"
+#include "engine/slice.hpp"
+#include "introspect/event_log.hpp"
+#include "introspect/signal_tap.hpp"
+
+namespace csfma {
+
+namespace {
+
+/// fma_block keeps its tile products and one product-window plane row per
+/// tile on the stack.  The largest valid geometry (PCS at 62-digit blocks)
+/// has 24 tiles over a 310-plane product window; the paper units use
+/// 21 x 275 and 16 x 290.
+constexpr int kMaxDspTiles = 24;
+constexpr int kMaxTreePlanes = 24 * 310;
+
+/// Sign of a normal operand's value (mantissa two's complement; a zero
+/// mantissa with a non-zero tail is positive).
+bool value_sign(const CsOperand& x) {
+  if (x.cls() != FpClass::Normal) return x.exc_sign();
+  return x.mant().as_cs().is_value_negative();
+}
+
+/// Carry Reduction to the geometry's group-g form (Sec. III-E); a full
+/// carry-save geometry (g = 1) keeps the raw planes.
+PcsNum reduce(const CsNum& x, int group) {
+  if (group == 1) return PcsNum(x.width(), 1, x.sum(), x.carry());
+  return carry_reduce(x, group);
+}
+
+/// A's pass-through result when the product falls entirely below A's
+/// window: apply A's deferred rounding, clear the tail.
+CsOperand passthrough_rounded(const CsOperand& a, int rnd_a) {
+  const CsGeometry& g = a.geometry();
+  const CsNum bumped =
+      compress3(g.mant_digits(), a.mant().sum(), a.mant().carries(),
+                CsWord((std::uint64_t)rnd_a));
+  return CsOperand(g, reduce(bumped, g.group()),
+                   PcsNum::zero(g.tail_digits(), g.group()), a.exp(),
+                   FpClass::Normal, value_sign(a));
+}
+
+/// A's aligned row in the adder window (zero when A is entirely below it).
+/// The 512-bit sign extension makes the negative-offset shift arithmetic.
+CsWord place_a(const WideUint<8>& a_val, int ofs_a, const CsGeometry& g) {
+  if (a_val.is_zero() || ofs_a <= -g.mant_digits()) return CsWord();
+  const WideUint<8> placed = ofs_a >= 0 ? (a_val << ofs_a) : (a_val >> -ofs_a);
+  return CsWord(placed).truncated(g.adder_width());
+}
+
+/// Leading sign run of a carry-free two's-complement value — exactly what
+/// lza_estimate returns on a freshly lifted (binary) operand.
+int binary_sign_run(const CsWord& v, int width) {
+  const CsWord x = v.bit(width - 1) ? (~v).truncated(width) : v;
+  return width - 1 - x.bit_width();
+}
+
+}  // namespace
+
+CsFma::CsFma(const CsGeometry& g, ActivityRecorder* activity,
+             const IntrospectHooks* hooks)
+    : g_(g), activity_(activity), hooks_(hooks) {
+  g_.validate();
+  CSFMA_CHECK(g_.dsp_tiles() <= kMaxDspTiles &&
+              g_.dsp_tiles() * (g_.adder_width() - g_.product_offset()) <=
+                  kMaxTreePlanes);
+}
+
+CsOperand CsFma::fma(const CsOperand& a, const PFloat& b, const CsOperand& c) {
+  CSFMA_CHECK_MSG(a.geometry() == g_ && c.geometry() == g_,
+                  "operand geometry differs from the unit's");
+  SignalTap* tap = hooks_ != nullptr ? hooks_->tap : nullptr;
+  EventLog* events = hooks_ != nullptr ? hooks_->events : nullptr;
+  // A full carry-save unit sees its inputs through digit-level detectors
+  // and anticipates the result position on them (Sec. III-G), whichever
+  // select then drives its result mux.
+  const bool full = g_.group() == 1;
+  const bool lza = g_.select() == BlockSelect::Lza;
+  const int m = g_.mant_digits(), w = g_.adder_width();
+
+  // ---- exception side-wires (Sec. III-B) ----
+  if (a.is_nan() || b.is_nan() || c.is_nan()) return CsOperand::make_nan(g_);
+  const bool b_zero = b.is_zero();
+  const bool c_zero = c.is_zero();
+  const bool p_inf = b.is_inf() || c.is_inf();
+  const bool p_sign = b.sign() != value_sign(c);
+  if (p_inf) {
+    if (b_zero || c_zero) return CsOperand::make_nan(g_);
+    if (a.is_inf() && a.exc_sign() != p_sign) return CsOperand::make_nan(g_);
+    return CsOperand::make_inf(g_, p_sign);
+  }
+  if (a.is_inf()) return CsOperand::make_inf(g_, a.exc_sign());
+
+  // ---- deferred rounding decisions (Sec. III-C) ----
+  const bool a_normal = a.cls() == FpClass::Normal;
+  const int rnd_a = a_normal ? a.round_increment() : 0;
+  const int rnd_c = c.cls() == FpClass::Normal ? c.round_increment() : 0;
+  if (events != nullptr) {
+    // The documented misrounding of the deferred half-away-from-zero rule:
+    // detail 0 = the A operand's tail, 1 = C's (see fp/rounding.hpp).
+    if (a_normal && a.round_disagrees_ieee()) {
+      events->raise(EventKind::MisroundVsIeee, 0);
+    }
+    if (c.cls() == FpClass::Normal && c.round_disagrees_ieee()) {
+      events->raise(EventKind::MisroundVsIeee, 1);
+    }
+  }
+
+  if (b_zero || c_zero) {
+    // Product is zero: the result is (rounded) A.
+    if (a.is_zero()) {
+      return CsOperand::make_zero(g_, p_sign && value_sign(a));  // -0 iff both
+    }
+    return passthrough_rounded(a, rnd_a);
+  }
+  CSFMA_CHECK_MSG(b.format().precision() <= 53,
+                  "B must be IEEE binary64 or narrower");
+
+  // ---- A path: deferred rounding + pre-shift (parallel to the multiply;
+  //      Fig 5).  The A mantissa is assimilated here (see header note). ----
+  const int e_p = b.exp() + c.exp();
+  const int ofs_a = (a_normal ? a.exp() : e_p) - e_p + g_.align();
+  const WideUint<8> a_val =
+      WideUint<8>(a_normal ? a.mant().to_binary() : CsWord()).sext(m) +
+      WideUint<8>((std::uint64_t)rnd_a);
+  const bool a_present =
+      full ? a_normal && !a.mant_digits_all_zero() : !a_val.is_zero();
+  // A entirely left of the adder window: the product cannot influence even
+  // the rounding tail, so A passes through.  The full carry-save unit sees
+  // this on its inputs, before the multiplier fires.
+  const bool a_left = a_present && ofs_a > w - m;
+  if (full && a_left) return passthrough_rounded(a, rnd_a);
+
+  // ---- early leading-zero anticipation on the INPUTS (Sec. III-G):
+  //      upper bounds for each addend's most significant window digit;
+  //      the maximum plus one bounds the sum. ----
+  int p_est = -1;
+  if (full) {
+    if (a_present && ofs_a > -m) {
+      // msb(|A|+1) <= M - lza_a  (the +1 covers the deferred round-up).
+      p_est = ofs_a + m - lza_estimate(a.mant().as_cs(), events);
+    }
+    // msb(|C|) <= M - 1 - lza_c; times B < 2^53 and +1 for rounding.
+    const int lza_c = lza_estimate(c.mant().as_cs(), events);
+    p_est = std::max(p_est, g_.product_offset() + m + 53 - lza_c) + 1;
+  }
+
+  // ---- multiplier: B_M x unrounded C_M as a DSP-tiled CSA tree, built
+  //      directly in the adder window at the product offset so the product
+  //      planes stay in carry-save form into the adder (Fig 9/11).  C's
+  //      deferred rounding becomes the +B_M correction row (Fig 6). ----
+  const CsWord b_sig = CsWord(WideUint<7>(WideUint<2>(b.sig())));
+  CsNum product =
+      multiply_dsp_tiled(c.mant().as_cs(), b_sig, 53, g_.cand_chunk(),
+                         g_.mult_chunk(), w, g_.product_offset(), &mul_stats_);
+  if (rnd_c != 0) {
+    product = cs_add_binary(product,
+                            (b_sig << g_.product_offset()).truncated(w));
+  }
+  if (b.sign()) product = cs_negate(product);
+  if (activity_ != nullptr) {
+    activity_->probe("mul.sum", "mul").observe(product.sum());
+    activity_->probe("mul.carry", "mul").observe(product.carry());
+  }
+  if (tap != nullptr) {
+    tap->begin_stage("mul");
+    tap->tap("mul.sum", product.sum(), w);
+    tap->tap("mul.carry", product.carry(), w);
+  }
+  // The PCS unit's mux takes a far-left A only after the multiplier fired.
+  if (a_left) return passthrough_rounded(a, rnd_a);
+
+  const CsWord a_row = place_a(a_val, ofs_a, g_);
+  if (activity_ != nullptr) activity_->probe("ashift", "align").observe(a_row);
+  if (tap != nullptr) {
+    tap->begin_stage("align");
+    tap->tap("align.ashift", a_row, w);
+  }
+
+  // ---- CS adder: product planes + aligned A row (3:2) ----
+  const CsNum adder = compress3(w, product.sum(), product.carry(), a_row);
+  if (activity_ != nullptr) {
+    activity_->probe("add.sum", "add").observe(adder.sum());
+    activity_->probe("add.carry", "add").observe(adder.carry());
+  }
+  if (tap != nullptr) {
+    tap->begin_stage("add");
+    tap->tap("add.sum", adder.sum(), w);
+    tap->tap("add.carry", adder.carry(), w);
+  }
+  if (events != nullptr) {
+    // Catastrophic cancellation: the sum's most significant digit landed
+    // far (>= 50 digit positions) below the highest input digit.  Window
+    // coordinates keep PFloat/CS exponent conventions out of it.
+    const int a_msb = a_present && ofs_a > -m ? ofs_a + m - 1 : -1;
+    const int p_msb = g_.product_offset() + m + 53;
+    const int out_msb = w - 1 - leading_sign_run(adder);
+    const int drop = std::max(a_msb, p_msb) - out_msb;
+    if (drop >= 50) events->raise(EventKind::Cancellation, drop);
+  }
+
+  // ---- Carry Reduction to the group-g form (Sec. III-E) ----
+  const PcsNum reduced = reduce(adder, g_.group());
+  if (g_.group() > 1) {
+    if (activity_ != nullptr) {
+      activity_->probe("creduce.sum", "creduce").observe(reduced.sum());
+      activity_->probe("creduce.carry", "creduce").observe(reduced.carries());
+    }
+    if (tap != nullptr) {
+      tap->begin_stage("creduce");
+      tap->tap("creduce.sum", reduced.sum(), w);
+      tap->tap("creduce.carry", reduced.carries(), w);
+    }
+  }
+
+  // ---- block select + result multiplexer (Sec. III-D/F/G/H) ----
+  int k;
+  if (lza) {
+    // The window top must cover the sign digit above the anticipated msb.
+    const int top = std::clamp((p_est + 1) / g_.block(), g_.mant_blocks() - 1,
+                               g_.adder_blocks() - 1);
+    k = g_.adder_blocks() - 1 - top;
+  } else {
+    k = count_skippable_blocks(reduced.as_cs(), g_.block(), g_.max_skip(),
+                               events);
+  }
+  last_skip_ = k;
+  const int mant_lo = (g_.max_skip() - k) * g_.block();
+  const int t_digits = g_.tail_digits();
+  PcsNum mant = reduced.extract_digits(mant_lo, m);
+  PcsNum tail = mant_lo >= g_.block()
+                    ? reduced.extract_digits(mant_lo - g_.block(), t_digits)
+                    : PcsNum::zero(t_digits, g_.group());
+  if (activity_ != nullptr) {
+    activity_->probe("mux.sum", "mux").observe(mant.sum());
+    activity_->probe("mux.carry", "mux").observe(mant.carries());
+  }
+  if (tap != nullptr) {
+    tap->begin_stage("mux");
+    if (full) {
+      const int top = g_.adder_blocks() - 1 - k;
+      tap->tap_u64("mux.top_block", (std::uint64_t)top, 4);
+    } else {
+      tap->tap_u64("mux.zd_skip", (std::uint64_t)k, 4);
+    }
+    tap->tap("mux.sum", mant.sum(), m);
+    tap->tap("mux.carry", mant.carries(), m);
+  }
+  return result(std::move(mant), std::move(tail), e_p + mant_lo - g_.align(),
+                events);
+}
+
+CsOperand CsFma::result(PcsNum mant, PcsNum tail, int e_r,
+                        EventLog* events) const {
+  // The full carry-save unit only has digit-level detectors: anything that
+  // survived below its window is the truncation it accepts under total
+  // cancellation.  The PCS unit tests the value.
+  const bool zero =
+      g_.group() == 1
+          ? mant.sum().is_zero() && mant.carries().is_zero() &&
+                tail.sum().is_zero() && tail.carries().is_zero()
+          : mant.to_binary().is_zero() && tail.to_binary().is_zero();
+  if (zero) return CsOperand::make_zero(g_, false);
+  const bool negative = mant.as_cs().is_value_negative();
+  if (e_r > kCsExpMax) return CsOperand::make_inf(g_, negative);
+  if (e_r < kCsExpMin) {
+    if (events != nullptr) events->raise(EventKind::SubnormalFlush, e_r);
+    return CsOperand::make_zero(g_, negative);
+  }
+  return CsOperand(g_, std::move(mant), std::move(tail), e_r, FpClass::Normal,
+                   false);
+}
+
+PFloat CsFma::fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c,
+                       Round rm) {
+  return cs_to_ieee(fma(ieee_to_cs(g_, a), b, ieee_to_cs(g_, c)), kBinary64,
+                    rm);
+}
+
+namespace {
+
+/// May this operation go through the sliced block?  Excluded: exception
+/// operands (the scalar path returns on side-wires before the datapath),
+/// zero products (rounded-A result) and the A pass-through, whose early
+/// returns skip datapath probes in ways the block form cannot replicate.
+/// A freshly lifted operand's tail is empty and its planes carry-free, so
+/// rnd_a == rnd_c == 0, the deferred-rounding events never fire on
+/// sliceable lanes and the early LZA is exact on them.
+bool sliceable(const CsGeometry& g, const OperandTriple& t) {
+  if (t.a.is_nan() || t.b.is_nan() || t.c.is_nan()) return false;
+  if (t.a.is_inf() || t.b.is_inf() || t.c.is_inf()) return false;
+  if (t.b.is_zero() || t.c.is_zero()) return false;
+  if (t.a.cls() == FpClass::Normal) {
+    const int ofs_a =
+        lifted_exp(g, t.a) - (t.b.exp() + lifted_exp(g, t.c)) + g.align();
+    if (ofs_a > g.adder_width() - g.mant_digits()) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+void CsFma::fma_ieee_batch(const OperandTriple* ops, std::size_t n, PFloat* out,
+                           const FmaBatchHooks& hooks) {
+  // A SignalTap traces one operation's wires stage by stage; its calls must
+  // stay in scalar order, so tapped runs bypass the sliced path entirely.
+  const bool tapped = hooks_ != nullptr && hooks_->tap != nullptr;
+  std::size_t i = 0;
+  while (i < n) {
+    if (tapped || !sliceable(g_, ops[i])) {
+      if (hooks.events != nullptr) {
+        hooks.events->begin_op(hooks.base_index + i, ops[i].a.to_bits().lo64(),
+                               ops[i].b.to_bits().lo64(),
+                               ops[i].c.to_bits().lo64());
+      }
+      out[i] = fma_ieee(ops[i].a, ops[i].b, ops[i].c, hooks.rm);
+      ++i;
+      continue;
+    }
+    std::size_t j = i + 1;
+    while (j < n && j - i < (std::size_t)slice::kLanes && sliceable(g_, ops[j]))
+      ++j;
+    fma_block(ops + i, (int)(j - i), out + i, hooks.rm, hooks.events,
+              hooks.base_index + i);
+    i = j;
+  }
+}
+
+void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out, Round rm,
+                      EventLog* events, std::uint64_t base) {
+  constexpr int kW = CsWord::kWords;
+  constexpr int kMaxW = kCsWordBits;
+  constexpr int kMaxBlocks = kCsWordBits / 8;
+  const bool lza = g_.select() == BlockSelect::Lza;
+  const int m = g_.mant_digits(), t_digits = g_.tail_digits();
+  const int w = g_.adder_width(), block = g_.block();
+  const int max_skip = g_.max_skip();
+  const int ofs_p = g_.product_offset();
+  // Multiplier tile geometry (lane-invariant), in multiply_dsp_tiled's row
+  // order (candidate-chunk outer).  The product rows live at bit ofs_p and
+  // above, so the Wallace tree only needs the top prod_w planes; the full
+  // planes are re-assembled (with the lane-masked negation) below.
+  const int n_cand = (m + g_.cand_chunk() - 1) / g_.cand_chunk();
+  const int n_mult = (53 + g_.mult_chunk() - 1) / g_.mult_chunk();
+  const int rows = n_cand * n_mult;
+  const int prod_w = w - ofs_p;
+  // Tile products and partial-product planes, packed at the geometry's
+  // row strides.
+  std::int64_t tiles[kMaxDspTiles * slice::kLanes];
+  std::uint64_t rp[kMaxTreePlanes];
+  const auto tile = [&](int r) { return tiles + r * slice::kLanes; };
+  const auto row = [&](int r) { return rp + r * prod_w; };
+
+  // ---- per-lane front end: lift + DSP tile products + A alignment (and
+  //      the input-side anticipation of an early-LZA unit).  Only the
+  //      per-lane-data work stays scalar; the partial-product tree, the
+  //      adder and everything after run bit-parallel across the batch. ----
+  std::uint64_t a_rows[slice::kLanes * kW];
+  std::uint64_t neg_mask = 0;
+  int e_p[slice::kLanes];
+  int a_msb[slice::kLanes];
+  int skip[slice::kLanes];
+  for (int L = 0; L < n; ++L) {
+    const PFloat& b = ops[L].b;
+    CSFMA_CHECK_MSG(b.format().precision() <= 53,
+                    "B must be IEEE binary64 or narrower");
+    // C lifts to a binary (carry-free) mantissa with an empty tail, so the
+    // rnd_c correction row never fires on this path; the DSP pre-adder
+    // assimilation of multiply_dsp_tiled is the identity on it.
+    const LiftedSig c = lift_significand(g_, ops[L].c);
+    const std::uint64_t b_sig = b.sig().lo64();
+    if (b.sign()) neg_mask |= std::uint64_t{1} << L;
+    for (int j = 0; j < n_cand; ++j) {
+      const int c_lo = j * g_.cand_chunk();
+      const int c_len = std::min(g_.cand_chunk(), m - c_lo);
+      std::int64_t c_val =
+          (std::int64_t)wide_read_bits(c.mant.data(), c_lo, c_len);
+      if (j == n_cand - 1 && ((c_val >> (c_len - 1)) & 1))
+        c_val -= (std::int64_t)1 << c_len;
+      for (int i = 0; i < n_mult; ++i) {
+        const int b_lo = i * g_.mult_chunk();
+        const int b_len = std::min(g_.mult_chunk(), 53 - b_lo);
+        const std::int64_t b_val =
+            (std::int64_t)((b_sig >> b_lo) & ((std::uint64_t{1} << b_len) - 1));
+        tile(j * n_mult + i)[L] = c_val * b_val;
+      }
+    }
+    e_p[L] = b.exp() + c.exp;
+    // A path: rnd_a == 0 likewise; a is Normal or Zero (sliceable()).
+    WideUint<8> a_val;
+    int ofs_a = g_.align();
+    int lza_a = 0;
+    if (ops[L].a.cls() == FpClass::Normal) {
+      const LiftedSig a = lift_significand(g_, ops[L].a);
+      a_val = WideUint<8>(a.mant).sext(m);
+      ofs_a = a.exp - e_p[L] + g_.align();
+      lza_a = binary_sign_run(a.mant, m);
+    }
+    const CsWord a_row = place_a(a_val, ofs_a, g_);
+    const bool a_in = !a_val.is_zero() && ofs_a > -m;
+    a_msb[L] = a_in ? ofs_a + m - 1 : -1;
+    for (int x = 0; x < kW; ++x) a_rows[L * kW + x] = a_row.data()[x];
+    if (lza) {
+      const int lza_c = binary_sign_run(c.mant, m);
+      int p_est = a_in ? ofs_a + m - lza_a : -1;
+      p_est = std::max(p_est, ofs_p + m + 53 - lza_c) + 1;
+      const int top = std::clamp((p_est + 1) / block, g_.mant_blocks() - 1,
+                                 g_.adder_blocks() - 1);
+      skip[L] = g_.adder_blocks() - 1 - top;
+    }
+  }
+
+  // ---- partial-product Wallace tree in plane form: each row is its
+  //      64-bit tile product placed at the tile's (lane-invariant) weight
+  //      with sign fill above, exactly multiply_dsp_tiled's row image; the
+  //      3:2 schedule is reduce_rows_inplace's, so the output planes are
+  //      bit-identical to the scalar tree's ----
+  for (int r = 0; r < rows; ++r) {
+    std::uint64_t tp[64];
+    slice::pack_words((const std::uint64_t*)tile(r), 1, n, 64, tp);
+    const int t =
+        (r / n_mult) * g_.cand_chunk() + (r % n_mult) * g_.mult_chunk();
+    std::uint64_t* rw = row(r);
+    const int top = std::min(t + 64, prod_w);
+    for (int b = 0; b < t; ++b) rw[b] = 0;
+    for (int b = t; b < top; ++b) rw[b] = tp[b - t];
+    for (int b = top; b < prod_w; ++b) rw[b] = tp[63];
+  }
+  int nr = rows;
+  while (nr > 2) {
+    int i = 0, o = 0;
+    for (; i + 3 <= nr; i += 3, o += 2) {
+      const std::uint64_t* ra = row(i);
+      const std::uint64_t* rb = row(i + 1);
+      const std::uint64_t* rcw = row(i + 2);
+      std::uint64_t* os = row(o);
+      std::uint64_t* oc = row(o + 1);
+      std::uint64_t prev_maj = 0;  // carry into bit ofs_p is 0
+      for (int b = 0; b < prod_w; ++b) {
+        const std::uint64_t x = ra[b], y = rb[b], z = rcw[b];
+        os[b] = x ^ y ^ z;  // reads precede writes: o <= i, o+1 <= i+1
+        oc[b] = prev_maj;
+        prev_maj = (x & y) | (z & (x | y));  // top majority drops (mod 2^W)
+      }
+    }
+    for (; i < nr; ++i, ++o) {
+      if (o != i) std::copy(row(i), row(i) + prod_w, row(o));
+    }
+    nr = o;
+  }
+  // The scalar tree reports its geometry per multiply; it is data
+  // independent, so one computation serves the whole block.
+  mul_stats_.rows = rows;
+  mul_stats_.levels = 0;
+  mul_stats_.compressors = 0;
+  for (int r = rows; r > 2; ++mul_stats_.levels) {
+    mul_stats_.compressors += (r / 3) * w;
+    r = (r / 3) * 2 + (r % 3);
+  }
+
+  // ---- full-width product planes with the lane-masked negation:
+  //      cs_negate is ~S + ~C + 2, i.e. one 3:2 layer whose planes reduce
+  //      to S^C (bit 1 flipped) and ~(S|C) shifted up one (with ~(S&C) at
+  //      bit 2), applied only to lanes where B is negative ----
+  std::uint64_t ps[kMaxW], pc[kMaxW], ar[kMaxW];
+  {
+    const std::uint64_t nm = neg_mask;
+    const std::uint64_t* s_row = row(0);
+    const std::uint64_t* c_row = nr > 1 ? row(1) : nullptr;
+    const auto sum_at = [&](int b) {
+      return b < ofs_p ? 0 : s_row[b - ofs_p];
+    };
+    const auto car_at = [&](int b) {
+      return b < ofs_p || c_row == nullptr ? 0 : c_row[b - ofs_p];
+    };
+    for (int b = 0; b < w; ++b) {
+      const std::uint64_t s = sum_at(b), cc = car_at(b);
+      std::uint64_t neg_s = s ^ cc;
+      if (b == 1) neg_s = ~neg_s;
+      std::uint64_t neg_c;
+      if (b == 0) {
+        neg_c = 0;
+      } else if (b == 2) {
+        neg_c = ~(sum_at(1) & car_at(1));
+      } else {
+        neg_c = ~(sum_at(b - 1) | car_at(b - 1));
+      }
+      ps[b] = (s & ~nm) | (neg_s & nm);
+      pc[b] = (cc & ~nm) | (neg_c & nm);
+    }
+  }
+  slice::pack_words(a_rows, kW, n, w, ar);
+  if (activity_ != nullptr) {
+    activity_->probe("mul.sum", "mul").observe_planes(ps, w, n);
+    activity_->probe("mul.carry", "mul").observe_planes(pc, w, n);
+    activity_->probe("ashift", "align").observe_planes(ar, w, n);
+  }
+
+  // ---- CS adder, all lanes per word op ----
+  std::uint64_t as[kMaxW], ac[kMaxW];
+  slice::compress3(w, ps, pc, ar, as, ac);
+  if (activity_ != nullptr) {
+    activity_->probe("add.sum", "add").observe_planes(as, w, n);
+    activity_->probe("add.carry", "add").observe_planes(ac, w, n);
+  }
+
+  // Event inputs: one assimilation serves both the cancellation detector
+  // (leading sign run of the adder output) and the ZD-late check below —
+  // carry reduction preserves the value mod 2^W, so the reduced form's
+  // binary image is this same plane set.
+  std::uint16_t run[slice::kLanes];
+  std::uint64_t same[kMaxBlocks + 1];
+  if (events != nullptr) {
+    std::uint64_t bin[kMaxW];
+    slice::assimilate(w, as, ac, bin);
+    slice::leading_sign_run(w, bin, n, run);
+    // same[j]: lanes whose bits [W - j*block - 1, W - 1] are all equal,
+    // i.e. skipping j blocks would preserve the signed value
+    // (skip_preserves_value in plane form).
+    std::uint64_t eq = ~std::uint64_t{0};
+    int b = w - 1;
+    for (int j = 1; j <= max_skip; ++j) {
+      const int lo = w - 1 - j * block;
+      while (b > lo) {
+        --b;
+        eq &= ~(bin[b] ^ bin[w - 1]);
+      }
+      same[j] = eq;
+    }
+  }
+
+  // ---- Carry Reduction to the group-g form (group 1: raw planes) ----
+  std::uint64_t rs_buf[kMaxW], rc_buf[kMaxW];
+  const std::uint64_t* rs = as;
+  const std::uint64_t* rc = ac;
+  if (g_.group() > 1) {
+    slice::carry_reduce(w, g_.group(), as, ac, rs_buf, rc_buf);
+    rs = rs_buf;
+    rc = rc_buf;
+    if (activity_ != nullptr) {
+      activity_->probe("creduce.sum", "creduce").observe_planes(rs, w, n);
+      activity_->probe("creduce.carry", "creduce").observe_planes(rc, w, n);
+    }
+  }
+
+  // ---- block select: per-lane skip counts (ZD from the alive masks; the
+  //      early LZA already chose in the front end) ----
+  if (!lza) {
+    std::uint64_t alive[kMaxBlocks];
+    slice::count_skippable_blocks(w, block, max_skip, rs, rc, alive);
+    for (int L = 0; L < n; ++L) {
+      int k = 0;
+      for (int s = 0; s < max_skip; ++s) k += (int)((alive[s] >> L) & 1u);
+      skip[L] = k;
+    }
+  }
+  std::uint64_t lane_of_k[kMaxBlocks + 1] = {};
+  for (int L = 0; L < n; ++L) lane_of_k[skip[L]] |= std::uint64_t{1} << L;
+  int ks[kMaxBlocks + 1];
+  int n_ks = 0;
+  for (int k = 0; k <= max_skip; ++k)
+    if (lane_of_k[k] != 0) ks[n_ks++] = k;
+
+  // ---- result mux in plane form: mant plane b selects the reduced plane
+  //      at b + (max_skip - k) * block for each lane's skip count k; the
+  //      tail reads one block below (k == max_skip lanes have no block
+  //      below and read a zero tail, exactly the scalar default) ----
+  std::uint64_t ms[kMaxW], mc[kMaxW], ts[64], tc[64];
+  for (int b = 0; b < m; ++b) {
+    std::uint64_t sv = 0, cv = 0;
+    for (int q = 0; q < n_ks; ++q) {
+      const int at = b + (max_skip - ks[q]) * block;
+      sv |= rs[at] & lane_of_k[ks[q]];
+      cv |= rc[at] & lane_of_k[ks[q]];
+    }
+    ms[b] = sv;
+    mc[b] = cv;
+  }
+  for (int b = 0; b < t_digits; ++b) {
+    std::uint64_t sv = 0, cv = 0;
+    for (int q = 0; q < n_ks && ks[q] < max_skip; ++q) {
+      const int at = b + (max_skip - 1 - ks[q]) * block;
+      sv |= rs[at] & lane_of_k[ks[q]];
+      cv |= rc[at] & lane_of_k[ks[q]];
+    }
+    ts[b] = sv;
+    tc[b] = cv;
+  }
+  if (activity_ != nullptr) {
+    activity_->probe("mux.sum", "mux").observe_planes(ms, m, n);
+    activity_->probe("mux.carry", "mux").observe_planes(mc, m, n);
+  }
+
+  // ---- back to lane-major form; per-lane readout in operation order ----
+  const int mant_words = (m + 63) / 64;
+  std::uint64_t mant_sw[slice::kLanes * kW], mant_cw[slice::kLanes * kW];
+  std::uint64_t tail_sw[slice::kLanes], tail_cw[slice::kLanes];
+  slice::unpack_words(ms, m, n, mant_sw, mant_words);
+  slice::unpack_words(mc, m, n, mant_cw, mant_words);
+  slice::unpack_words(ts, t_digits, n, tail_sw, 1);
+  slice::unpack_words(tc, t_digits, n, tail_cw, 1);
+
+  for (int L = 0; L < n; ++L) {
+    if (events != nullptr) {
+      events->begin_op(base + (std::uint64_t)L, ops[L].a.to_bits().lo64(),
+                       ops[L].b.to_bits().lo64(), ops[L].c.to_bits().lo64());
+      const int p_msb = ofs_p + m + 53;
+      const int out_msb = w - 1 - (int)run[L];
+      const int drop = std::max(a_msb[L], p_msb) - out_msb;
+      if (drop >= 50) events->raise(EventKind::Cancellation, drop);
+      if (!lza && skip[L] < max_skip && ((same[skip[L] + 1] >> L) & 1u) != 0) {
+        events->raise(EventKind::ZeroDetectLate, skip[L]);
+      }
+    }
+    last_skip_ = skip[L];
+    CsWord msum, mcar, tsum, tcar;
+    for (int x = 0; x < mant_words; ++x) {
+      msum.data()[x] = mant_sw[L * mant_words + x];
+      mcar.data()[x] = mant_cw[L * mant_words + x];
+    }
+    tsum.data()[0] = tail_sw[L];
+    tcar.data()[0] = tail_cw[L];
+    const int mant_lo = (max_skip - skip[L]) * block;
+    out[L] = cs_to_ieee(result(PcsNum(m, g_.group(), msum, mcar),
+                               PcsNum(t_digits, g_.group(), tsum, tcar),
+                               e_p[L] + mant_lo - g_.align(), events),
+                        kBinary64, rm);
+  }
+}
+
+}  // namespace csfma

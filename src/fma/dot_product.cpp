@@ -8,9 +8,9 @@
 
 namespace csfma {
 
-using G = PcsGeometry;
-
 namespace {
+
+constexpr const CsGeometry& G = kPcsGeometry;
 
 /// The largest product's msb is anchored at this window bit, leaving the
 /// same guard headroom the PCS-FMA adder has; the sum of up to 2^13 terms
@@ -28,7 +28,7 @@ WideUint<8> asr(const WideUint<8>& v, int k) {
 
 }  // namespace
 
-PcsOperand PcsDotProduct::dot(
+CsOperand PcsDotProduct::dot(
     const std::vector<std::pair<PFloat, PFloat>>& terms) {
   // ---- exception side-wires ----
   bool any_nan = false, pos_inf = false, neg_inf = false;
@@ -42,9 +42,9 @@ PcsOperand PcsDotProduct::dot(
       }
     }
   }
-  if (any_nan || (pos_inf && neg_inf)) return PcsOperand::make_nan();
-  if (pos_inf) return PcsOperand::make_inf(false);
-  if (neg_inf) return PcsOperand::make_inf(true);
+  if (any_nan || (pos_inf && neg_inf)) return CsOperand::make_nan(G);
+  if (pos_inf) return CsOperand::make_inf(G, false);
+  if (neg_inf) return CsOperand::make_inf(G, true);
 
   // ---- exact products with their lsb exponents ----
   struct Prod {
@@ -71,11 +71,12 @@ PcsOperand PcsDotProduct::dot(
                 (b.exp() - b.format().frac_bits);
     max_msb = std::max(max_msb, p.lsb_exp + p.mag.bit_width() - 1);
   }
-  if (n_prods == 0) return PcsOperand::make_zero(false);
+  if (n_prods == 0) return CsOperand::make_zero(G, false);
 
   // ---- align into the shared window and reduce with one CSA tree ----
   const int w0 = max_msb - kAnchorMsb;  // exponent of window bit 0
-  const CsWord wmask = CsWord::mask(G::kAdderWidth);
+  const int width = G.adder_width();
+  const CsWord wmask = CsWord::mask(width);
   CsWord rows_stack[64];
   std::vector<CsWord> rows_heap;
   CsWord* rows = rows_stack;
@@ -132,39 +133,40 @@ PcsOperand PcsDotProduct::dot(
       rows[i] = CsWord(placed) & wmask;
     }
   }
-  CsNum acc = reduce_rows_inplace(G::kAdderWidth, rows, n_prods, &tree_stats_);
+  CsNum acc = reduce_rows_inplace(width, rows, n_prods, &tree_stats_);
   if (activity_ != nullptr) {
     activity_->probe("dot.sum").observe(acc.sum());
     activity_->probe("dot.carry").observe(acc.carry());
   }
 
   // ---- Carry Reduce + ZD + 6:1 mux, exactly the PCS-FMA back end ----
-  PcsNum reduced = carry_reduce(acc, G::kGroup);
-  const int k = count_skippable_blocks(reduced.as_cs(), G::kBlock, 5);
-  const int mant_lo = (5 - k) * G::kBlock;
-  PcsNum mant = reduced.extract_digits(mant_lo, G::kMantDigits);
-  PcsNum tail = PcsNum::zero(G::kTailDigits, G::kGroup);
-  if (mant_lo >= G::kBlock) {
-    tail = reduced.extract_digits(mant_lo - G::kBlock, G::kTailDigits);
+  PcsNum reduced = carry_reduce(acc, G.group());
+  const int k =
+      count_skippable_blocks(reduced.as_cs(), G.block(), G.max_skip());
+  const int mant_lo = (G.max_skip() - k) * G.block();
+  PcsNum mant = reduced.extract_digits(mant_lo, G.mant_digits());
+  PcsNum tail = PcsNum::zero(G.tail_digits(), G.group());
+  if (mant_lo >= G.block()) {
+    tail = reduced.extract_digits(mant_lo - G.block(), G.tail_digits());
   }
   if (mant.to_binary().is_zero() && tail.to_binary().is_zero()) {
-    return PcsOperand::make_zero(false);
+    return CsOperand::make_zero(G, false);
   }
   // value = Y * 2^w0; mant digit 0 at window bit mant_lo; operand semantics
-  // give weight 2^(e_r - 107) to mant digit 0.
-  const int e_r = w0 + mant_lo + 107;
-  if (e_r > G::kExpMax) {
-    return PcsOperand::make_inf(mant.as_cs().is_value_negative());
+  // give weight 2^(e_r - sig_msb) to mant digit 0.
+  const int e_r = w0 + mant_lo + G.sig_msb();
+  if (e_r > kCsExpMax) {
+    return CsOperand::make_inf(G, mant.as_cs().is_value_negative());
   }
-  if (e_r < G::kExpMin) {
-    return PcsOperand::make_zero(mant.as_cs().is_value_negative());
+  if (e_r < kCsExpMin) {
+    return CsOperand::make_zero(G, mant.as_cs().is_value_negative());
   }
-  return PcsOperand(mant, tail, e_r, FpClass::Normal, false);
+  return CsOperand(G, mant, tail, e_r, FpClass::Normal, false);
 }
 
 PFloat PcsDotProduct::dot_ieee(
     const std::vector<std::pair<PFloat, PFloat>>& terms, Round rm) {
-  return pcs_to_ieee(dot(terms), kBinary64, rm);
+  return cs_to_ieee(dot(terms), kBinary64, rm);
 }
 
 }  // namespace csfma

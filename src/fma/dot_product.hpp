@@ -19,7 +19,7 @@
 
 #include "common/activity.hpp"
 #include "cs/csa_tree.hpp"
-#include "fma/pcs_format.hpp"
+#include "fma/cs_format.hpp"
 
 namespace csfma {
 
@@ -28,8 +28,9 @@ class PcsDotProduct {
   explicit PcsDotProduct(ActivityRecorder* activity = nullptr)
       : activity_(activity) {}
 
-  /// Fused sum of products; terms are IEEE binary64 pairs.
-  PcsOperand dot(const std::vector<std::pair<PFloat, PFloat>>& terms);
+  /// Fused sum of products; terms are IEEE binary64 pairs.  The result is
+  /// in the PCS geometry (kPcsGeometry).
+  CsOperand dot(const std::vector<std::pair<PFloat, PFloat>>& terms);
 
   /// Convenience: fused dot with a single exit rounding.
   PFloat dot_ieee(const std::vector<std::pair<PFloat, PFloat>>& terms,

@@ -2,9 +2,8 @@
 
 #include "common/check.hpp"
 #include "fma/classic_fma.hpp"
+#include "fma/cs_fma.hpp"
 #include "fma/discrete.hpp"
-#include "fma/fcs_fma.hpp"
-#include "fma/pcs_fma.hpp"
 #include "introspect/event_log.hpp"
 
 namespace csfma {
@@ -40,14 +39,9 @@ const PFloat& FmaOperand::ieee() const {
   return std::get<PFloat>(v_);
 }
 
-const PcsOperand& FmaOperand::pcs() const {
-  CSFMA_CHECK_MSG(is_pcs(), "FmaOperand does not hold a PCS operand");
-  return std::get<PcsOperand>(v_);
-}
-
-const FcsOperand& FmaOperand::fcs() const {
-  CSFMA_CHECK_MSG(is_fcs(), "FmaOperand does not hold an FCS operand");
-  return std::get<FcsOperand>(v_);
+const CsOperand& FmaOperand::cs() const {
+  CSFMA_CHECK_MSG(is_cs(), "FmaOperand does not hold a carry-save operand");
+  return std::get<CsOperand>(v_);
 }
 
 PFloat FmaUnit::fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c,
@@ -115,24 +109,29 @@ class ClassicUnit final : public IeeeUnitBase {
   ClassicFma unit_;
 };
 
-class PcsUnit final : public FmaUnit {
+class CsUnit final : public FmaUnit {
  public:
-  PcsUnit(ActivityRecorder* activity, const IntrospectHooks* hooks)
-      : unit_(activity, hooks) {}
-  UnitKind kind() const override { return UnitKind::Pcs; }
-  std::string_view name() const override { return "PCS-FMA"; }
+  CsUnit(const CsGeometry& g, ActivityRecorder* activity,
+         const IntrospectHooks* hooks)
+      : unit_(g, activity, hooks) {}
+  UnitKind kind() const override {
+    return unit_.geometry().group() == 1 ? UnitKind::Fcs : UnitKind::Pcs;
+  }
+  std::string_view name() const override {
+    return kind() == UnitKind::Fcs ? "FCS-FMA" : "PCS-FMA";
+  }
   LatencyClass latency_class() const override {
     return LatencyClass::CarrySave;
   }
   FmaOperand lift(const PFloat& v) const override {
-    return FmaOperand(ieee_to_pcs(v));
+    return FmaOperand(ieee_to_cs(unit_.geometry(), v));
   }
   PFloat lower(const FmaOperand& v, Round rm) const override {
-    return pcs_to_ieee(v.pcs(), kBinary64, rm);
+    return cs_to_ieee(v.cs(), kBinary64, rm);
   }
   FmaOperand fma(const FmaOperand& a, const PFloat& b,
                  const FmaOperand& c) override {
-    return FmaOperand(unit_.fma(a.pcs(), b, c.pcs()));
+    return FmaOperand(unit_.fma(a.cs(), b, c.cs()));
   }
   PFloat fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c,
                   Round rm) override {
@@ -144,38 +143,16 @@ class PcsUnit final : public FmaUnit {
   }
 
  private:
-  PcsFma unit_;
-};
-
-class FcsUnit final : public FmaUnit {
- public:
-  FcsUnit(ActivityRecorder* activity, const IntrospectHooks* hooks)
-      : unit_(activity, FcsSelect::EarlyLza, hooks) {}
-  UnitKind kind() const override { return UnitKind::Fcs; }
-  std::string_view name() const override { return "FCS-FMA"; }
-  LatencyClass latency_class() const override {
-    return LatencyClass::CarrySave;
-  }
-  FmaOperand lift(const PFloat& v) const override {
-    return FmaOperand(ieee_to_fcs(v));
-  }
-  PFloat lower(const FmaOperand& v, Round rm) const override {
-    return fcs_to_ieee(v.fcs(), kBinary64, rm);
-  }
-  FmaOperand fma(const FmaOperand& a, const PFloat& b,
-                 const FmaOperand& c) override {
-    return FmaOperand(unit_.fma(a.fcs(), b, c.fcs()));
-  }
-  PFloat fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c,
-                  Round rm) override {
-    return unit_.fma_ieee(a, b, c, rm);
-  }
-
- private:
-  FcsFma unit_;
+  CsFma unit_;
 };
 
 }  // namespace
+
+std::unique_ptr<FmaUnit> make_cs_unit(const CsGeometry& g,
+                                      ActivityRecorder* activity,
+                                      const IntrospectHooks* hooks) {
+  return std::make_unique<CsUnit>(g, activity, hooks);
+}
 
 std::unique_ptr<FmaUnit> make_fma_unit(UnitKind kind,
                                        ActivityRecorder* activity,
@@ -186,9 +163,9 @@ std::unique_ptr<FmaUnit> make_fma_unit(UnitKind kind,
     case UnitKind::Classic:
       return std::make_unique<ClassicUnit>(activity, hooks);
     case UnitKind::Pcs:
-      return std::make_unique<PcsUnit>(activity, hooks);
+      return make_cs_unit(kPcsGeometry, activity, hooks);
     case UnitKind::Fcs:
-      return std::make_unique<FcsUnit>(activity, hooks);
+      return make_cs_unit(kFcsGeometry, activity, hooks);
   }
   CSFMA_CHECK_MSG(false, "unknown UnitKind");
   return nullptr;

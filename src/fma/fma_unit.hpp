@@ -26,8 +26,7 @@
 #include <variant>
 
 #include "common/activity.hpp"
-#include "fma/fcs_format.hpp"
-#include "fma/pcs_format.hpp"
+#include "fma/cs_format.hpp"
 #include "fp/pfloat.hpp"
 #include "introspect/hooks.hpp"
 
@@ -76,26 +75,24 @@ enum class LatencyClass {
 const char* to_string(LatencyClass lc);
 
 /// A value in a unit's native inter-operation format: plain IEEE for the
-/// Discrete/Classic units, a carry-save operand for PCS/FCS.  Opaque to
-/// generic callers; unit-specific code may unwrap the concrete format.
+/// Discrete/Classic units, a carry-save operand (in the unit's geometry)
+/// for PCS/FCS.  Opaque to generic callers; unit-specific code may unwrap
+/// the concrete format.
 class FmaOperand {
  public:
   FmaOperand() : v_(PFloat()) {}
   explicit FmaOperand(PFloat v) : v_(std::move(v)) {}
-  explicit FmaOperand(PcsOperand v) : v_(std::move(v)) {}
-  explicit FmaOperand(FcsOperand v) : v_(std::move(v)) {}
+  explicit FmaOperand(CsOperand v) : v_(std::move(v)) {}
 
   bool is_ieee() const { return std::holds_alternative<PFloat>(v_); }
-  bool is_pcs() const { return std::holds_alternative<PcsOperand>(v_); }
-  bool is_fcs() const { return std::holds_alternative<FcsOperand>(v_); }
+  bool is_cs() const { return std::holds_alternative<CsOperand>(v_); }
 
   /// Unwrap; checked against the stored alternative.
   const PFloat& ieee() const;
-  const PcsOperand& pcs() const;
-  const FcsOperand& fcs() const;
+  const CsOperand& cs() const;
 
  private:
-  std::variant<PFloat, PcsOperand, FcsOperand> v_;
+  std::variant<PFloat, CsOperand> v_;
 };
 
 /// Abstract multiply-add unit: R = A + B*C.  B is always IEEE binary64 (the
@@ -146,5 +143,12 @@ class FmaUnit {
 std::unique_ptr<FmaUnit> make_fma_unit(UnitKind kind,
                                        ActivityRecorder* activity = nullptr,
                                        const IntrospectHooks* hooks = nullptr);
+
+/// A carry-save unit of any geometry behind the same interface (Pcs kind
+/// for group > 1, Fcs for full carry-save).  make_fma_unit(Pcs/Fcs) is
+/// this at kPcsGeometry / kFcsGeometry.
+std::unique_ptr<FmaUnit> make_cs_unit(const CsGeometry& g,
+                                      ActivityRecorder* activity = nullptr,
+                                      const IntrospectHooks* hooks = nullptr);
 
 }  // namespace csfma

@@ -2,21 +2,19 @@
 
 #include <vector>
 
+#include "fma/cs_fma.hpp"
 #include "fma/dot_product.hpp"
-#include "fma/fcs_fma.hpp"
-#include "fma/pcs_fma.hpp"
 
 namespace csfma {
 
 namespace {
 
-/// A wire value: IEEE or one of the CS operand formats.
+/// A wire value: IEEE or a CS operand in its style's geometry.
 struct Val {
   ValueType type = ValueType::Ieee;
   FmaStyle style = FmaStyle::None;
   PFloat ieee;
-  PcsOperand pcs;
-  FcsOperand fcs;
+  CsOperand cs;
 };
 
 }  // namespace
@@ -33,8 +31,11 @@ std::vector<std::map<std::string, double>> Evaluator::run_batch(
   // for the whole batch (kernel sweeps push thousands of samples through
   // the same CDFG).
   std::vector<Val> vals((size_t)g_.num_nodes());
-  PcsFma pcs_unit;
-  FcsFma fcs_unit;
+  CsFma pcs_unit(kPcsGeometry);
+  CsFma fcs_unit(kFcsGeometry);
+  auto unit = [&](FmaStyle s) -> CsFma& {
+    return s == FmaStyle::Pcs ? pcs_unit : fcs_unit;
+  };
   PcsDotProduct dot_unit;
   const Round exit_rm = Round::HalfAwayFromZero;
   const std::vector<int> topo = g_.topo_order();
@@ -103,18 +104,10 @@ std::vector<std::map<std::string, double>> Evaluator::run_batch(
         case OpKind::CvtToCs:
           v.type = ValueType::Cs;
           v.style = n.style;
-          if (n.style == FmaStyle::Pcs) {
-            v.pcs = ieee_to_pcs(in(0).ieee);
-          } else {
-            v.fcs = ieee_to_fcs(in(0).ieee);
-          }
+          v.cs = ieee_to_cs(unit(n.style).geometry(), in(0).ieee);
           break;
         case OpKind::CvtFromCs:
-          if (n.style == FmaStyle::Pcs) {
-            v.ieee = pcs_to_ieee(in(0).pcs, kBinary64, exit_rm);
-          } else {
-            v.ieee = fcs_to_ieee(in(0).fcs, kBinary64, exit_rm);
-          }
+          v.ieee = cs_to_ieee(in(0).cs, kBinary64, exit_rm);
           break;
         case OpKind::Dot: {
           v.type = ValueType::Cs;
@@ -122,17 +115,13 @@ std::vector<std::map<std::string, double>> Evaluator::run_batch(
           std::vector<std::pair<PFloat, PFloat>> terms;
           for (int i = 0; i + 1 < n.arity(); i += 2)
             terms.emplace_back(in(i).ieee, in(i + 1).ieee);
-          v.pcs = dot_unit.dot(terms);
+          v.cs = dot_unit.dot(terms);
           break;
         }
         case OpKind::Fma:
           v.type = ValueType::Cs;
           v.style = n.style;
-          if (n.style == FmaStyle::Pcs) {
-            v.pcs = pcs_unit.fma(in(0).pcs, in(1).ieee, in(2).pcs);
-          } else {
-            v.fcs = fcs_unit.fma(in(0).fcs, in(1).ieee, in(2).fcs);
-          }
+          v.cs = unit(n.style).fma(in(0).cs, in(1).ieee, in(2).cs);
           break;
       }
     }

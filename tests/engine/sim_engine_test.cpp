@@ -437,45 +437,53 @@ std::vector<OperandTriple> adversarial_ops() {
 /// backend, at any thread count (the CI backend-equivalence gate).
 TEST(SimEngine, BackendEquivalenceOnAdversarialOperands) {
   const std::vector<OperandTriple> ops = adversarial_ops();
-  auto run = [&](EngineBackend backend, int threads) {
-    EngineConfig cfg = config(UnitKind::Pcs, threads, 32);
-    cfg.backend = backend;
-    cfg.event_capacity = 1024;
-    SimEngine engine(cfg);
-    return engine.run_batch(ops);
-  };
-  const BatchResult ref = run(EngineBackend::Scalar, 1);
-  EXPECT_GT(ref.events.events().size(), 0u);  // the stream raises events
-  for (EngineBackend backend : {EngineBackend::Scalar, EngineBackend::Sliced}) {
-    for (int threads : {1, 3}) {
-      const BatchResult got = run(backend, threads);
-      ASSERT_EQ(got.results.size(), ref.results.size());
-      for (std::size_t i = 0; i < ref.results.size(); ++i) {
-        // Bit equality, not same_value(): NaN results must match too.
-        EXPECT_EQ(got.results[i].to_bits(), ref.results[i].to_bits())
-            << to_string(backend) << " t" << threads << " op " << i;
+  for (UnitKind kind : {UnitKind::Pcs, UnitKind::Fcs}) {
+    auto run = [&](EngineBackend backend, int threads) {
+      EngineConfig cfg = config(kind, threads, 32);
+      cfg.backend = backend;
+      cfg.event_capacity = 1024;
+      SimEngine engine(cfg);
+      return engine.run_batch(ops);
+    };
+    const BatchResult ref = run(EngineBackend::Scalar, 1);
+    EXPECT_GT(ref.events.events().size(), 0u);  // the stream raises events
+    for (EngineBackend backend :
+         {EngineBackend::Scalar, EngineBackend::Sliced}) {
+      for (int threads : {1, 3}) {
+        const std::string at = std::string(to_string(kind)) + " " +
+                               to_string(backend) + " t" +
+                               std::to_string(threads);
+        const BatchResult got = run(backend, threads);
+        ASSERT_EQ(got.results.size(), ref.results.size());
+        for (std::size_t i = 0; i < ref.results.size(); ++i) {
+          // Bit equality, not same_value(): NaN results must match too.
+          EXPECT_EQ(got.results[i].to_bits(), ref.results[i].to_bits())
+              << at << " op " << i;
+        }
+        EXPECT_EQ(toggle_map(got.activity), toggle_map(ref.activity)) << at;
+        EXPECT_EQ(got.events.to_json(), ref.events.to_json()) << at;
       }
-      EXPECT_EQ(toggle_map(got.activity), toggle_map(ref.activity))
-          << to_string(backend) << " t" << threads;
-      EXPECT_EQ(got.events.to_json(), ref.events.to_json())
-          << to_string(backend) << " t" << threads;
     }
   }
 }
 
 TEST(SimEngine, BackendEquivalenceOnRandomStream) {
   RandomTripleSource src(314159, 5000, -12, 12);
-  EngineConfig scfg = config(UnitKind::Pcs, 2, 512);
-  scfg.backend = EngineBackend::Scalar;
-  EngineConfig vcfg = scfg;
-  vcfg.backend = EngineBackend::Sliced;
-  const BatchResult rs = SimEngine(scfg).run_batch(src);
-  const BatchResult rv = SimEngine(vcfg).run_batch(src);
-  ASSERT_EQ(rs.results.size(), rv.results.size());
-  for (std::size_t i = 0; i < rs.results.size(); ++i)
-    ASSERT_TRUE(PFloat::same_value(rs.results[i], rv.results[i])) << i;
-  EXPECT_EQ(toggle_map(rs.activity), toggle_map(rv.activity));
-  EXPECT_GT(rs.activity.total_toggles(), 0u);
+  for (UnitKind kind : {UnitKind::Pcs, UnitKind::Fcs}) {
+    EngineConfig scfg = config(kind, 2, 512);
+    scfg.backend = EngineBackend::Scalar;
+    EngineConfig vcfg = scfg;
+    vcfg.backend = EngineBackend::Sliced;
+    const BatchResult rs = SimEngine(scfg).run_batch(src);
+    const BatchResult rv = SimEngine(vcfg).run_batch(src);
+    ASSERT_EQ(rs.results.size(), rv.results.size());
+    for (std::size_t i = 0; i < rs.results.size(); ++i)
+      ASSERT_TRUE(PFloat::same_value(rs.results[i], rv.results[i]))
+          << to_string(kind) << " " << i;
+    EXPECT_EQ(toggle_map(rs.activity), toggle_map(rv.activity))
+        << to_string(kind);
+    EXPECT_GT(rs.activity.total_toggles(), 0u);
+  }
 }
 
 // ---- worker clamp (small-host fix) ---------------------------------------

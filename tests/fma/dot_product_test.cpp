@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "fma/pcs_fma.hpp"
+#include "fma/cs_fma.hpp"
 
 namespace csfma {
 namespace {
@@ -63,7 +63,7 @@ TEST(DotProduct, CancellationToExactZero) {
   for (int trial = 0; trial < 2000; ++trial) {
     PFloat a = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-9, 9));
     PFloat b = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-9, 9));
-    PcsOperand r = unit.dot({{a, b}, {a.negated(), b}});
+    CsOperand r = unit.dot({{a, b}, {a.negated(), b}});
     EXPECT_TRUE(r.is_zero());
   }
 }
@@ -85,15 +85,15 @@ TEST(DotProduct, ResultChainsIntoFma) {
   // The fused dot result feeds a PCS-FMA without an intermediate rounding.
   Rng rng(172);
   PcsDotProduct dot;
-  PcsFma fma;
+  CsFma fma(kPcsGeometry);
   for (int trial = 0; trial < 1000; ++trial) {
     auto terms = random_terms(rng, 4, -6, 6);
     PFloat b = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-4, 4));
     PFloat c = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-4, 4));
     // r = dot(terms) + b*c with the dot result kept in carry-save.
-    PcsOperand acc = dot.dot(terms);
-    PcsOperand r = fma.fma(acc, b, ieee_to_pcs(c));
-    PFloat got = pcs_to_ieee(r, kBinary64, Round::HalfAwayFromZero);
+    CsOperand acc = dot.dot(terms);
+    CsOperand r = fma.fma(acc, b, ieee_to_cs(kPcsGeometry, c));
+    PFloat got = cs_to_ieee(r, kBinary64, Round::HalfAwayFromZero);
     PFloat ref = PFloat::fma(b, c, wide_reference(terms), kWideExact,
                              Round::NearestEven);
     if (!ref.is_normal()) continue;

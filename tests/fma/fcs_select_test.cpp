@@ -1,21 +1,23 @@
-// ZD-based vs early-LZA block selection in the FCS unit (the Sec. III-F /
-// III-G design alternative exposed by FcsSelect).
+// ZD-based vs early-LZA block selection in the FCS geometry (the Sec. III-F
+// / III-G design alternative exposed by BlockSelect).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.hpp"
 #include "cs/csa_tree.hpp"
-#include "fma/fcs_fma.hpp"
-#include "fma/pcs_format.hpp"  // kWideExact
+#include "fma/cs_fma.hpp"
 
 namespace csfma {
 namespace {
 
+const CsGeometry kLza = CsGeometry::fcs(BlockSelect::Lza);
+const CsGeometry kZd = CsGeometry::fcs(BlockSelect::Zd);
+
 TEST(FcsSelect, BothModesCorrectlyRoundedOnBalancedInputs) {
   Rng rng(180);
-  FcsFma lza(nullptr, FcsSelect::EarlyLza);
-  FcsFma zd(nullptr, FcsSelect::ZeroDetect);
+  CsFma lza(kLza);
+  CsFma zd(kZd);
   for (int i = 0; i < 20000; ++i) {
     PFloat a = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-30, 30));
     PFloat b = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-30, 30));
@@ -33,8 +35,8 @@ TEST(FcsSelect, ZdKeepsCancellationResidueLzaLoses) {
   // operands' position; the exact ZD walks down to the residue.  Place the
   // residue ~120 bits below so it falls outside the LZA-selected window
   // but inside the ZD's reach.
-  FcsFma lza(nullptr, FcsSelect::EarlyLza);
-  FcsFma zd(nullptr, FcsSelect::ZeroDetect);
+  CsFma lza(kLza);
+  CsFma zd(kZd);
   // b*c = 3 * 5 = 15 exactly; a = -15; feed the residue through the tail
   // of a hand-built A operand: value -15 + 2^-120.
   PFloat b = PFloat::from_double(kBinary64, 3.0);
@@ -42,11 +44,15 @@ TEST(FcsSelect, ZdKeepsCancellationResidueLzaLoses) {
   // A = -15 exactly, plus one unit at the mantissa's least significant
   // digit — a residue ~82 digits below A's leading digit, inside the adder
   // window but far below the anticipated result position.
-  FcsOperand a0 = ieee_to_fcs(PFloat::from_double(kBinary64, -15.0));
-  CsNum bumped = cs_add_binary(a0.mant(), CsWord(1ull));
-  FcsOperand a(bumped, CsNum::zero(29), a0.exp(), FpClass::Normal, true);
-  FcsOperand rl = lza.fma(a, b, ieee_to_fcs(c));
-  FcsOperand rz = zd.fma(a, b, ieee_to_fcs(c));
+  const CsOperand a0 = ieee_to_cs(kLza, PFloat::from_double(kBinary64, -15.0));
+  const CsNum bumped = cs_add_binary(a0.mant().as_cs(), CsWord(1ull));
+  const PcsNum mant(87, 1, bumped.sum(), bumped.carry());
+  const CsOperand a_lza(kLza, mant, PcsNum::zero(29, 1), a0.exp(),
+                        FpClass::Normal, true);
+  const CsOperand a_zd(kZd, mant, PcsNum::zero(29, 1), a0.exp(),
+                       FpClass::Normal, true);
+  CsOperand rl = lza.fma(a_lza, b, ieee_to_cs(kLza, c));
+  CsOperand rz = zd.fma(a_zd, b, ieee_to_cs(kZd, c));
   // ZD finds the residue; its result is non-zero.
   EXPECT_FALSE(rz.is_zero());
   // The LZA window misses it entirely (the accepted inaccuracy).
@@ -59,8 +65,8 @@ TEST(FcsSelect, ZdKeepsCancellationResidueLzaLoses) {
 
 TEST(FcsSelect, ModesAgreeAwayFromCancellation) {
   Rng rng(181);
-  FcsFma lza(nullptr, FcsSelect::EarlyLza);
-  FcsFma zd(nullptr, FcsSelect::ZeroDetect);
+  CsFma lza(kLza);
+  CsFma zd(kZd);
   int agree = 0;
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
@@ -99,21 +105,21 @@ TEST(FcsSelect, ZdChainAccuracyAtLeastAsGood) {
       }
       golden = x1;
     }
-    for (FcsSelect sel : {FcsSelect::EarlyLza, FcsSelect::ZeroDetect}) {
-      FcsFma u(nullptr, sel);
+    for (const CsGeometry& g : {kLza, kZd}) {
+      CsFma u(g);
       PFloat B1 = PFloat::from_double(kBinary64, b1);
       PFloat B2 = PFloat::from_double(kBinary64, b2);
-      FcsOperand x3 = ieee_to_fcs(PFloat::from_double(kBinary64, x0[0]));
-      FcsOperand x2 = ieee_to_fcs(PFloat::from_double(kBinary64, x0[1]));
-      FcsOperand x1 = ieee_to_fcs(PFloat::from_double(kBinary64, x0[2]));
+      CsOperand x3 = ieee_to_cs(g, PFloat::from_double(kBinary64, x0[0]));
+      CsOperand x2 = ieee_to_cs(g, PFloat::from_double(kBinary64, x0[1]));
+      CsOperand x1 = ieee_to_cs(g, PFloat::from_double(kBinary64, x0[2]));
       for (int i = 3; i <= 40; ++i) {
-        FcsOperand t = u.fma(x3, B2, x2);
-        FcsOperand x = u.fma(t, B1, x1);
+        CsOperand t = u.fma(x3, B2, x2);
+        CsOperand x = u.fma(t, B1, x1);
         x3 = x2; x2 = x1; x1 = x;
       }
       double e = PFloat::ulp_error(
-          fcs_to_ieee(x1, kBinary64, Round::HalfAwayFromZero), golden, 52);
-      (sel == FcsSelect::EarlyLza ? e_lza : e_zd) += e;
+          cs_to_ieee(x1, kBinary64, Round::HalfAwayFromZero), golden, 52);
+      (g.select() == BlockSelect::Lza ? e_lza : e_zd) += e;
     }
   }
   EXPECT_LE(e_zd, e_lza + 1.0);

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "fma/classic_fma.hpp"
+#include "fma/cs_fma.hpp"
 #include "fma/discrete.hpp"
-#include "fma/fcs_fma.hpp"
-#include "fma/pcs_fma.hpp"
+#include "introspect/event_log.hpp"
 
 namespace csfma {
 namespace {
@@ -42,8 +46,8 @@ TEST(FmaUnit, AdaptersAgreeWithConcreteUnits) {
   auto fcs = make_fma_unit(UnitKind::Fcs);
   DiscreteMulAdd discrete_ref;
   ClassicFma classic_ref;
-  PcsFma pcs_ref;
-  FcsFma fcs_ref;
+  CsFma pcs_ref(kPcsGeometry);
+  CsFma fcs_ref(kFcsGeometry);
   for (int i = 0; i < 500; ++i) {
     PFloat a = rand_op(rng), b = rand_op(rng), c = rand_op(rng);
     const Round rm = Round::HalfAwayFromZero;
@@ -73,10 +77,11 @@ TEST(FmaUnit, LiftLowerRoundTripsIeeeValues) {
 
 TEST(FmaUnit, NativeChainMatchesExplicitPcsChain) {
   // The lift/fma/lower view wires the same datapath a hand-written
-  // PcsOperand chain does.
+  // CsOperand chain does.
   Rng rng(302);
   auto unit = make_fma_unit(UnitKind::Pcs);
-  PcsFma ref;
+  CsFma ref(kPcsGeometry);
+  const auto lift = [](const PFloat& x) { return ieee_to_cs(kPcsGeometry, x); };
   for (int i = 0; i < 50; ++i) {
     PFloat a = rand_op(rng), b1 = rand_op(rng), c = rand_op(rng),
            b2 = rand_op(rng), d = rand_op(rng);
@@ -85,19 +90,127 @@ TEST(FmaUnit, NativeChainMatchesExplicitPcsChain) {
     acc = unit->fma(acc, b2, unit->lift(d));
     PFloat got = unit->lower(acc, Round::HalfAwayFromZero);
     // ...and through the concrete unit.
-    PcsOperand r = ref.fma(ieee_to_pcs(a), b1, ieee_to_pcs(c));
-    r = ref.fma(r, b2, ieee_to_pcs(d));
-    PFloat want = pcs_to_ieee(r, kBinary64, Round::HalfAwayFromZero);
+    CsOperand r = ref.fma(lift(a), b1, lift(c));
+    r = ref.fma(r, b2, lift(d));
+    PFloat want = cs_to_ieee(r, kBinary64, Round::HalfAwayFromZero);
     EXPECT_TRUE(PFloat::same_value(got, want));
   }
 }
 
 TEST(FmaUnit, OperandUnwrapIsTypeChecked) {
   auto pcs = make_fma_unit(UnitKind::Pcs);
+  auto fcs = make_fma_unit(UnitKind::Fcs);
   FmaOperand v = pcs->lift(PFloat::from_double(kBinary64, 1.5));
-  EXPECT_TRUE(v.is_pcs());
+  EXPECT_TRUE(v.is_cs());
   EXPECT_FALSE(v.is_ieee());
-  EXPECT_FALSE(v.is_fcs());
+  EXPECT_EQ(v.cs().geometry(), kPcsGeometry);
+  EXPECT_THROW(v.ieee(), CheckError);
+  // A carry-save operand only feeds a unit of its own geometry.
+  const PFloat one = PFloat::from_double(kBinary64, 1.0);
+  EXPECT_THROW(fcs->fma(v, one, fcs->lift(one)), CheckError);
+  EXPECT_EQ(make_cs_unit(CsGeometry::pcs(44, 11))->kind(), UnitKind::Pcs);
+  EXPECT_EQ(make_cs_unit(CsGeometry::fcs(BlockSelect::Zd))->kind(),
+            UnitKind::Fcs);
+}
+
+std::uint64_t fnv_bytes(const void* p, std::size_t n, std::uint64_t h) {
+  const unsigned char* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= b[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// A seeded stream mixing every path of the CS datapath: balanced ops,
+/// A pass-through, exact and near cancellation, zero/inf/NaN operands,
+/// exponent extremes (subnormal flush, overflow) and power-of-two B/C.
+std::vector<OperandTriple> adversarial_stream(std::size_t n) {
+  Rng rng(4243);
+  std::vector<OperandTriple> ops;
+  for (std::size_t i = 0; i < n; ++i) {
+    double a = rng.next_fp_in_exp_range(-60, 60);
+    double b = rng.next_fp_in_exp_range(-60, 60);
+    double c = rng.next_fp_in_exp_range(-60, 60);
+    const std::uint64_t cls = rng.next_below(100);
+    if (cls < 4) {
+      a = rng.next_fp_in_exp_range(150, 400);
+    } else if (cls < 10) {
+      a = -(b * c);
+    } else if (cls < 14) {
+      a = -(b * c) * (1.0 + rng.next_double(-0x1p-40, 0x1p-40));
+    } else if (cls < 16) {
+      const double specials[] = {0.0, -0.0, INFINITY, -INFINITY, NAN};
+      double* slot[] = {&a, &b, &c};
+      *slot[rng.next_below(3)] = specials[rng.next_below(5)];
+    } else if (cls < 20) {
+      a = rng.next_fp_in_exp_range(-1020, 1020);
+      b = rng.next_fp_in_exp_range(-1020, 1020);
+      c = rng.next_fp_in_exp_range(-1020, 1020);
+    } else if (cls < 24) {
+      b = std::ldexp(rng.next_bool() ? 1.0 : -1.0, (int)rng.next_int(-30, 30));
+      c = std::ldexp(rng.next_bool() ? 1.0 : -1.0, (int)rng.next_int(-30, 30));
+    }
+    ops.push_back({PFloat::from_double(kBinary64, a),
+                   PFloat::from_double(kBinary64, b),
+                   PFloat::from_double(kBinary64, c)});
+  }
+  return ops;
+}
+
+/// FNV-1a over a CS unit's results, activity JSON and event-log JSON on
+/// the stream, through its own batch path or the base-class scalar loop.
+std::uint64_t unit_digest(const CsGeometry& g, bool scalar) {
+  const std::vector<OperandTriple> ops = adversarial_stream(4096);
+  ActivityRecorder rec;
+  EventLog events(1 << 16);
+  IntrospectHooks hooks;
+  hooks.events = &events;
+  auto unit = make_cs_unit(g, &rec, &hooks);
+  std::vector<PFloat> out(ops.size());
+  FmaBatchHooks bh;
+  bh.rm = Round::HalfAwayFromZero;
+  bh.events = &events;
+  if (scalar) {
+    unit->FmaUnit::fma_ieee_batch(ops.data(), ops.size(), out.data(), bh);
+  } else {
+    unit->fma_ieee_batch(ops.data(), ops.size(), out.data(), bh);
+  }
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const PFloat& r : out) {
+    const std::uint64_t bits = r.to_bits().lo64();
+    h = fnv_bytes(&bits, sizeof bits, h);
+  }
+  const std::string act = rec.to_json(), ev = events.to_json();
+  h = fnv_bytes(act.data(), act.size(), h);
+  return fnv_bytes(ev.data(), ev.size(), h);
+}
+
+TEST(FmaUnit, CarrySaveUnitsMatchRecordedDigests) {
+  // The PCS, FCS and FCS-ZD units' results, per-probe toggles and event
+  // logs on an adversarial stream, pinned to recorded digests: a change
+  // that moves one result bit, toggle or event of any of them — on the
+  // sliced or the scalar path — fails here.
+  const CsGeometry fcs_zd = CsGeometry::fcs(BlockSelect::Zd);
+  EXPECT_EQ(unit_digest(kPcsGeometry, false), 0x35548100ebfc5557ULL);
+  EXPECT_EQ(unit_digest(kPcsGeometry, true), 0x35548100ebfc5557ULL);
+  EXPECT_EQ(unit_digest(kFcsGeometry, false), 0xbd6293315a0dba6eULL);
+  EXPECT_EQ(unit_digest(kFcsGeometry, true), 0xbd6293315a0dba6eULL);
+  EXPECT_EQ(unit_digest(fcs_zd, false), 0x63049b881d5ccfaeULL);
+  EXPECT_EQ(unit_digest(fcs_zd, true), 0x63049b881d5ccfaeULL);
+}
+
+TEST(FmaUnit, SlicedBatchMatchesScalarAtEveryGeometry) {
+  // One plane-form block serves every design point: small and Sec. V
+  // blocks, sparse and dense carry grids, both FCS selects.
+  for (const CsGeometry& g :
+       {CsGeometry::pcs(8, 2), CsGeometry::pcs(22, 11),
+        CsGeometry::pcs(44, 4), CsGeometry::pcs(55, 55),
+        CsGeometry::pcs(56, 8), CsGeometry::pcs(62, 31),
+        CsGeometry::fcs(BlockSelect::Zd)}) {
+    EXPECT_EQ(unit_digest(g, false), unit_digest(g, true))
+        << g.block() << "/" << g.group() << " " << to_string(g.select());
+  }
 }
 
 TEST(FmaUnit, ActivityRecorderReceivesToggles) {

@@ -1,6 +1,7 @@
-#include "fma/pcs_format.hpp"
+// The CS operand format at the paper's PCS geometry (Sec. III-F).
+#include "fma/cs_format.hpp"
 
-#include "fma/pcs_fma.hpp"
+#include "fma/cs_fma.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,17 +10,26 @@
 namespace csfma {
 namespace {
 
+constexpr const CsGeometry& G = kPcsGeometry;
+
+CsOperand pcs(const PcsNum& mant, const PcsNum& tail, int exp) {
+  return CsOperand(G, mant, tail, exp, FpClass::Normal, false);
+}
+
 TEST(PcsFormat, GeometryMatchesPaper) {
   // Sec. III-F: 110b+10b mantissa, 55b+5b rounding data, 12b exponent = 192b.
-  EXPECT_EQ(PcsGeometry::kMantDigits, 110);
-  EXPECT_EQ(PcsGeometry::kTailDigits, 55);
-  EXPECT_EQ(PcsGeometry::kMantDigits / PcsGeometry::kGroup, 10);
-  EXPECT_EQ(PcsGeometry::kTailDigits / PcsGeometry::kGroup, 5);
-  EXPECT_EQ(110 + 10 + 55 + 5 + 12, 192);
+  EXPECT_EQ(G.mant_digits(), 110);
+  EXPECT_EQ(G.tail_digits(), 55);
+  EXPECT_EQ(G.mant_digits() / G.group(), 10);
+  EXPECT_EQ(G.tail_digits() / G.group(), 5);
+  EXPECT_EQ(G.operand_bits(), 192);
   // Sec. III-D: adder 110+163+110 rounded up to the next multiple of 55.
-  EXPECT_EQ(PcsGeometry::kAdderWidth, 385);
-  EXPECT_EQ(PcsGeometry::kAdderWidth % PcsGeometry::kBlock, 0);
-  EXPECT_EQ(PcsGeometry::kProductWidth, 163);
+  EXPECT_EQ(G.adder_width(), 385);
+  EXPECT_EQ(G.adder_width() % G.block(), 0);
+  EXPECT_EQ(G.product_width(), 163);
+  EXPECT_EQ(G.sig_msb(), 107);
+  EXPECT_EQ(G.frac_bits(), 162);
+  EXPECT_EQ(G.select(), BlockSelect::Zd);
 }
 
 TEST(PcsFormat, IeeeRoundTripExact) {
@@ -27,8 +37,8 @@ TEST(PcsFormat, IeeeRoundTripExact) {
   for (int i = 0; i < 20000; ++i) {
     double d = rng.next_fp_in_exp_range(-900, 900);
     PFloat x = PFloat::from_double(kBinary64, d);
-    PcsOperand p = ieee_to_pcs(x);
-    PFloat back = pcs_to_ieee(p, kBinary64, Round::NearestEven);
+    CsOperand p = ieee_to_cs(G, x);
+    PFloat back = cs_to_ieee(p, kBinary64, Round::NearestEven);
     EXPECT_EQ(back.to_double(), d);
     // The conversion is exact, so the exact value matches too.
     EXPECT_DOUBLE_EQ(PFloat::ulp_error(p.exact_value(), x, 52), 0.0);
@@ -40,23 +50,23 @@ TEST(PcsFormat, SpecialsRoundTrip) {
                   +[] { return PFloat::inf(kBinary64, true); },
                   +[] { return PFloat::zero(kBinary64, true); }}) {
     PFloat x = mk();
-    PFloat back = pcs_to_ieee(ieee_to_pcs(x), kBinary64, Round::NearestEven);
+    PFloat back = cs_to_ieee(ieee_to_cs(G, x), kBinary64, Round::NearestEven);
     EXPECT_TRUE(PFloat::same_value(x, back));
     EXPECT_EQ(x.sign(), back.sign());
   }
-  EXPECT_TRUE(pcs_to_ieee(ieee_to_pcs(PFloat::nan(kBinary64)), kBinary64,
-                          Round::NearestEven)
+  EXPECT_TRUE(cs_to_ieee(ieee_to_cs(G, PFloat::nan(kBinary64)), kBinary64,
+                         Round::NearestEven)
                   .is_nan());
 }
 
 TEST(PcsFormat, SignificandPlacement) {
   // 1.0 -> significand MSB at mantissa digit 107 (Sec. III-B headroom).
-  PcsOperand p = ieee_to_pcs(PFloat::from_double(kBinary64, 1.0));
+  CsOperand p = ieee_to_cs(G, PFloat::from_double(kBinary64, 1.0));
   EXPECT_TRUE(p.mant().sum().bit(107));
   EXPECT_EQ(p.mant().to_binary().bit_width(), 108);
-  EXPECT_TRUE(p.round().to_binary().is_zero());
+  EXPECT_TRUE(p.tail().to_binary().is_zero());
   // Negative values are two's complement, no separate sign bit.
-  PcsOperand n = ieee_to_pcs(PFloat::from_double(kBinary64, -1.0));
+  CsOperand n = ieee_to_cs(G, PFloat::from_double(kBinary64, -1.0));
   EXPECT_TRUE(n.mant().as_cs().is_value_negative());
   EXPECT_EQ(n.mant().as_cs().magnitude(), p.mant().to_binary());
 }
@@ -65,9 +75,9 @@ TEST(PcsFormat, RoundIncrementHalfAwayFromZero) {
   // Build operands with controlled tails.
   auto with_tail = [](bool negative, CsWord tail_sum) {
     CsNum mant = CsNum::from_signed(110, negative, CsWord(1ull) << 107);
-    return PcsOperand(PcsNum(110, 11, mant.sum(), mant.carry()),
-                      PcsNum(55, 11, tail_sum.truncated(55), CsWord()), 0,
-                      FpClass::Normal, negative);
+    return CsOperand(G, PcsNum(110, 11, mant.sum(), mant.carry()),
+                     PcsNum(55, 11, tail_sum.truncated(55), CsWord()), 0,
+                     FpClass::Normal, negative);
   };
   const CsWord half = CsWord::bit_at(54);
   // Below half: never round.
@@ -85,23 +95,20 @@ TEST(PcsFormat, TailCarriesCountTowardRounding) {
   // reaches half: the rounding examines digit VALUES, not just sum bits.
   CsNum mant = CsNum::from_signed(110, false, CsWord(1ull) << 107);
   CsWord tail_sum = CsWord::mask(54);  // just below half
-  PcsOperand no_carry(PcsNum(110, 11, mant.sum(), mant.carry()),
-                      PcsNum(55, 11, tail_sum, CsWord()), 0, FpClass::Normal,
-                      false);
+  CsOperand no_carry = pcs(PcsNum(110, 11, mant.sum(), mant.carry()),
+                           PcsNum(55, 11, tail_sum, CsWord()), 0);
   EXPECT_EQ(no_carry.round_increment(), 0);
-  PcsOperand with_carry(PcsNum(110, 11, mant.sum(), mant.carry()),
-                        PcsNum(55, 11, tail_sum, CsWord::bit_at(0)), 0,
-                        FpClass::Normal, false);
+  CsOperand with_carry = pcs(PcsNum(110, 11, mant.sum(), mant.carry()),
+                             PcsNum(55, 11, tail_sum, CsWord::bit_at(0)), 0);
   EXPECT_EQ(with_carry.round_increment(), 1);  // ripples to exactly half+..
 }
 
 TEST(PcsFormat, ExactValueIncludesTail) {
   CsNum mant = CsNum::from_signed(110, false, CsWord(1ull) << 107);
-  PcsOperand base(PcsNum(110, 11, mant.sum(), mant.carry()),
-                  PcsNum::zero(55, 11), 0, FpClass::Normal, false);
-  PcsOperand with_tail(PcsNum(110, 11, mant.sum(), mant.carry()),
-                       PcsNum(55, 11, CsWord::bit_at(54), CsWord()), 0,
-                       FpClass::Normal, false);
+  CsOperand base =
+      pcs(PcsNum(110, 11, mant.sum(), mant.carry()), PcsNum::zero(55, 11), 0);
+  CsOperand with_tail = pcs(PcsNum(110, 11, mant.sum(), mant.carry()),
+                            PcsNum(55, 11, CsWord::bit_at(54), CsWord()), 0);
   // The tail contributes half of one mantissa ulp, below even the wide
   // readout precision — compare the transferred integers directly.
   WideUint<8> xb = (WideUint<8>(base.mant().to_binary()).sext(110) << 55) +
@@ -115,12 +122,12 @@ TEST(PcsFormat, ExactValueIncludesTail) {
 
 TEST(PcsFormat, ExponentFieldRangeEnforced) {
   CsNum mant = CsNum::from_signed(110, false, CsWord(1ull) << 107);
-  EXPECT_THROW(PcsOperand(PcsNum(110, 11, mant.sum(), mant.carry()),
-                          PcsNum::zero(55, 11), 3000, FpClass::Normal, false),
-               CheckError);
+  EXPECT_THROW(
+      pcs(PcsNum(110, 11, mant.sum(), mant.carry()), PcsNum::zero(55, 11), 3000),
+      CheckError);
   // Excess-2047 covers more range than IEEE's excess-1023 (Sec. III-F).
-  EXPECT_GT(PcsGeometry::kExpMax, kBinary64.emax());
-  EXPECT_LT(PcsGeometry::kExpMin, kBinary64.emin());
+  EXPECT_GT(kCsExpMax, kBinary64.emax());
+  EXPECT_LT(kCsExpMin, kBinary64.emin());
 }
 
 TEST(PcsFormat, WiderSourceFormatsConvert) {
@@ -131,7 +138,7 @@ TEST(PcsFormat, WiderSourceFormatsConvert) {
   for (int i = 0; i < 5000; ++i) {
     double d = rng.next_fp_in_exp_range(-100, 100);
     PFloat x = PFloat::from_double(f54, d);
-    PFloat back = pcs_to_ieee(ieee_to_pcs(x), f54, Round::NearestEven);
+    PFloat back = cs_to_ieee(ieee_to_cs(G, x), f54, Round::NearestEven);
     EXPECT_TRUE(PFloat::same_value(back, x));
   }
 }
@@ -140,19 +147,19 @@ TEST(PcsFormat, PackedWordRoundTrips) {
   // The 192-bit operand word of Sec. III-F, round-tripped through an FMA
   // chain so mantissa carries and rounding tails are populated.
   Rng rng(72);
-  PcsFma unit;
+  CsFma unit(G);
   for (int i = 0; i < 5000; ++i) {
     PFloat a = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-40, 40));
     PFloat b = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-40, 40));
     PFloat c = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-40, 40));
-    PcsOperand r = unit.fma(ieee_to_pcs(a), b, ieee_to_pcs(c));
+    CsOperand r = unit.fma(ieee_to_cs(G, a), b, ieee_to_cs(G, c));
     if (r.cls() != FpClass::Normal) continue;
     U192 w = r.pack_bits();
-    PcsOperand back = PcsOperand::unpack_bits(w);
+    CsOperand back = CsOperand::unpack_bits(G, w);
     EXPECT_EQ(back.mant().sum(), r.mant().sum());
     EXPECT_EQ(back.mant().carries(), r.mant().carries());
-    EXPECT_EQ(back.round().sum(), r.round().sum());
-    EXPECT_EQ(back.round().carries(), r.round().carries());
+    EXPECT_EQ(back.tail().sum(), r.tail().sum());
+    EXPECT_EQ(back.tail().carries(), r.tail().carries());
     EXPECT_EQ(back.exp(), r.exp());
     EXPECT_EQ(back.pack_bits(), w);
   }
@@ -162,14 +169,17 @@ TEST(PcsFormat, PackedWordUses192Bits) {
   // Every field position is inside the 192-bit word; the exponent sits at
   // the top, so a maximal-exponent operand lights bit 191.
   CsNum mant = CsNum::from_signed(110, false, CsWord(1ull) << 107);
-  PcsOperand top(PcsNum(110, 11, mant.sum(), mant.carry()),
-                 PcsNum::zero(55, 11), PcsGeometry::kExpMax, FpClass::Normal,
-                 false);
+  CsOperand top = pcs(PcsNum(110, 11, mant.sum(), mant.carry()),
+                      PcsNum::zero(55, 11), kCsExpMax);
   U192 w = top.pack_bits();
   EXPECT_LE(w.bit_width(), 192);
   EXPECT_TRUE(w.bit(191));  // exp field 0xFFF
-  // Exceptions refuse to pack (they travel on the side wires).
-  EXPECT_THROW(PcsOperand::make_nan().pack_bits(), CheckError);
+  // Exceptions refuse to pack (they travel on the side wires), and so do
+  // geometries wider than the word.
+  EXPECT_THROW(CsOperand::make_nan(G).pack_bits(), CheckError);
+  EXPECT_THROW(ieee_to_cs(kFcsGeometry, PFloat::from_double(kBinary64, 1.0))
+                   .pack_bits(),
+               CheckError);
 }
 
 }  // namespace

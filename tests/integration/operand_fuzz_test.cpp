@@ -18,7 +18,7 @@ namespace {
 /// A random PCS operand: planes restricted so the mantissa magnitude stays
 /// within the format's |M| < 2^108 envelope (converter/unit outputs obey
 /// this; wilder values are rejected by the format's design).
-PcsOperand random_pcs(Rng& rng) {
+CsOperand random_pcs(Rng& rng) {
   // Format contract: the leading significant digit lies in the top 55b
   // block (block selection guarantees this for unit outputs; converters
   // place the IEEE significand there) — magnitude in [2^55, 2^107).
@@ -43,11 +43,11 @@ PcsOperand random_pcs(Rng& rng) {
               rng.next_wide_bits<7>(55) &
                   (CsWord::bit_at(0) | CsWord::bit_at(11) | CsWord::bit_at(22) |
                    CsWord::bit_at(33) | CsWord::bit_at(44)));
-  return PcsOperand(m, tail, (int)rng.next_int(-200, 200), FpClass::Normal,
-                    false);
+  return CsOperand(kPcsGeometry, m, tail, (int)rng.next_int(-200, 200),
+                   FpClass::Normal, false);
 }
 
-FcsOperand random_fcs(Rng& rng) {
+CsOperand random_fcs(Rng& rng) {
   // Leading digit within the top 29c block: magnitude in [2^58, 2^84).
   CsWord mag = rng.next_wide_bits<7>((int)rng.next_int(59, 83)) |
                CsWord::bit_at((int)rng.next_int(58, 82));
@@ -56,20 +56,20 @@ FcsOperand random_fcs(Rng& rng) {
   CsWord moved = base.sum() & rng.next_wide_bits<7>(85) & ~CsWord::bit_at(86);
   CsWord sum = base.sum() ^ moved;
   // moving bit b from sum to carry keeps the weight (same position).
-  CsNum mant(87, sum, moved);
-  CsNum tail(29, rng.next_wide_bits<7>(29), rng.next_wide_bits<7>(29));
-  return FcsOperand(mant, tail, (int)rng.next_int(-200, 200), FpClass::Normal,
-                    false);
+  PcsNum mant(87, 1, sum, moved);
+  PcsNum tail(29, 1, rng.next_wide_bits<7>(29), rng.next_wide_bits<7>(29));
+  return CsOperand(kFcsGeometry, mant, tail, (int)rng.next_int(-200, 200),
+                   FpClass::Normal, false);
 }
 
 TEST(OperandFuzz, PcsFmaOnRedundantOperands) {
   Rng rng(190);
   auto unit = make_fma_unit(UnitKind::Pcs);
   for (int i = 0; i < 20000; ++i) {
-    PcsOperand a = random_pcs(rng);
-    PcsOperand c = random_pcs(rng);
+    CsOperand a = random_pcs(rng);
+    CsOperand c = random_pcs(rng);
     PFloat b = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-40, 40));
-    PcsOperand r = unit->fma(FmaOperand(a), b, FmaOperand(c)).pcs();
+    CsOperand r = unit->fma(FmaOperand(a), b, FmaOperand(c)).cs();
     if (r.cls() != FpClass::Normal) continue;
     // Reference from the operands' exact values; the unit's deferred
     // rounding of a and c contributes up to ~2^-54 relative each.
@@ -77,7 +77,7 @@ TEST(OperandFuzz, PcsFmaOnRedundantOperands) {
                              Round::NearestEven);
     if (!ref.is_normal()) continue;
     double err = PFloat::ulp_error(
-        pcs_to_ieee(r, kBinary64, Round::HalfAwayFromZero),
+        cs_to_ieee(r, kBinary64, Round::HalfAwayFromZero),
         ref.round_to(kBinary64, Round::HalfAwayFromZero), 52);
     // Cancellation can amplify the transfer rounding; use the magnitude
     // ratio envelope as in the chain tests.
@@ -94,16 +94,16 @@ TEST(OperandFuzz, FcsFmaOnRedundantOperands) {
   Rng rng(191);
   auto unit = make_fma_unit(UnitKind::Fcs);
   for (int i = 0; i < 20000; ++i) {
-    FcsOperand a = random_fcs(rng);
-    FcsOperand c = random_fcs(rng);
+    CsOperand a = random_fcs(rng);
+    CsOperand c = random_fcs(rng);
     PFloat b = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-40, 40));
-    FcsOperand r = unit->fma(FmaOperand(a), b, FmaOperand(c)).fcs();
+    CsOperand r = unit->fma(FmaOperand(a), b, FmaOperand(c)).cs();
     if (r.cls() != FpClass::Normal) continue;
     PFloat ref = PFloat::fma(b, c.exact_value(), a.exact_value(), kWideExact,
                              Round::NearestEven);
     if (!ref.is_normal()) continue;
     double err = PFloat::ulp_error(
-        fcs_to_ieee(r, kBinary64, Round::HalfAwayFromZero),
+        cs_to_ieee(r, kBinary64, Round::HalfAwayFromZero),
         ref.round_to(kBinary64, Round::HalfAwayFromZero), 52);
     const double ratio = std::fabs(
         b.to_double() * c.exact_value().to_double() / ref.to_double());
@@ -119,10 +119,10 @@ TEST(OperandFuzz, RedundancyShufflePreservesValue) {
   // the intended values.
   Rng rng(192);
   for (int i = 0; i < 5000; ++i) {
-    PcsOperand p = random_pcs(rng);
-    FcsOperand f = random_fcs(rng);
+    CsOperand p = random_pcs(rng);
+    CsOperand f = random_fcs(rng);
     EXPECT_LT(p.mant().as_cs().magnitude(), CsWord::bit_at(107));
-    EXPECT_LT(f.mant().magnitude(), CsWord::bit_at(84));
+    EXPECT_LT(f.mant().as_cs().magnitude(), CsWord::bit_at(84));
   }
 }
 
@@ -130,14 +130,14 @@ TEST(OperandFuzz, ConversionRoundTripAtExponentExtremes) {
   // The 12b excess-2047 exponent range exceeds IEEE's: operands near the
   // field limits convert out to inf/zero as specified.
   CsNum mant = CsNum::from_signed(110, false, CsWord(1ull) << 107);
-  PcsOperand huge(PcsNum(110, 11, mant.sum(), mant.carry()),
-                  PcsNum::zero(55, 11), 1500, FpClass::Normal, false);
-  EXPECT_TRUE(pcs_to_ieee(huge, kBinary64, Round::NearestEven).is_inf());
-  PcsOperand tiny(PcsNum(110, 11, mant.sum(), mant.carry()),
-                  PcsNum::zero(55, 11), -1500, FpClass::Normal, false);
-  EXPECT_TRUE(pcs_to_ieee(tiny, kBinary64, Round::NearestEven).is_zero());
+  CsOperand huge(kPcsGeometry, PcsNum(110, 11, mant.sum(), mant.carry()),
+                 PcsNum::zero(55, 11), 1500, FpClass::Normal, false);
+  EXPECT_TRUE(cs_to_ieee(huge, kBinary64, Round::NearestEven).is_inf());
+  CsOperand tiny(kPcsGeometry, PcsNum(110, 11, mant.sum(), mant.carry()),
+                 PcsNum::zero(55, 11), -1500, FpClass::Normal, false);
+  EXPECT_TRUE(cs_to_ieee(tiny, kBinary64, Round::NearestEven).is_zero());
   // But a wide-exponent readout format preserves them.
-  EXPECT_TRUE(pcs_to_ieee(huge, kWideExact, Round::NearestEven).is_normal());
+  EXPECT_TRUE(cs_to_ieee(huge, kWideExact, Round::NearestEven).is_normal());
 }
 
 }  // namespace
