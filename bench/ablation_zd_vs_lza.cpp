@@ -51,10 +51,10 @@ int main(int argc, char** argv) {
   }
 
   // ---- timing/area ----
-  SynthesisReport lza_r = synthesize("FCS (early LZA)", build_fcs_fma(dev),
-                                     dev, 200.0);
-  SynthesisReport zd_r =
-      synthesize("FCS (exact ZD)", build_fcs_fma_zd(dev), dev, 200.0);
+  SynthesisReport lza_r = synthesize(
+      "FCS (early LZA)", build_fcs_fma(dev, BlockSelect::Lza), dev, 200.0);
+  SynthesisReport zd_r = synthesize(
+      "FCS (exact ZD)", build_fcs_fma(dev, BlockSelect::Zd), dev, 200.0);
   std::printf("Ablation — FCS block selection: exact ZD vs early LZA\n\n");
   std::printf("%-18s | %8s | %6s | %6s | %9s\n", "variant", "fmax", "cycles",
               "LUTs", "MA [ns]");

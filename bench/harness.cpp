@@ -75,7 +75,7 @@ HarnessOptions extract_harness_args(int& argc, char** argv) {
     } else if (std::strcmp(a, "--bench-out") == 0 && has_value) {
       opts.bench_out = argv[++i];
     } else if (std::strcmp(a, "--no-bench-out") == 0) {
-      opts.bench_out = "-";
+      opts.bench_out.assign(1, '-');  // `= "-"` trips g++ 12's -Wrestrict
     } else if (std::strcmp(a, "--progress") == 0) {
       opts.progress = true;
     } else if (std::strcmp(a, "--no-hw-counters") == 0) {

@@ -36,12 +36,15 @@ double mean_ulp(F&& op) {
 
 int main() {
   const Device dev = virtex6();
-  auto t1 = table1_reports(dev, 200.0);
-  auto report = [&t1](const char* arch) -> const SynthesisReport& {
-    static SynthesisReport none;
-    for (const auto& r : t1)
-      if (r.arch == arch) return r;
-    return none;
+  auto row = [](const char* name, const SynthesisReport& r, double ulp) {
+    std::printf("%-22s | %8.2f | %6d | %6d | %4d | %9.4f", name,
+                r.min_ma_time_ns(), r.cycles, r.luts, r.dsps, ulp);
+  };
+  auto cs_ulp = [](const CsGeometry& g) {
+    CsFma unit(g);
+    return mean_ulp([&](const PFloat& a, const PFloat& b, const PFloat& c) {
+      return unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
+    });
   };
 
   std::printf("Design space — one multiply-add, %s @ 200 MHz target\n\n",
@@ -51,54 +54,30 @@ int main() {
   std::printf("%.*s\n", 72, "--------------------------------------------------"
                             "----------------------");
 
-  {
-    const auto& r = report("Xilinx CoreGen");
-    double ulp = mean_ulp([](const PFloat& a, const PFloat& b, const PFloat& c) {
-      return PFloat::add(PFloat::mul(b, c, kBinary64, Round::NearestEven), a,
-                         kBinary64, Round::NearestEven);
-    });
-    std::printf("%-22s | %8.2f | %6d | %6d | %4d | %9.4f\n", "discrete mul+add",
-                r.min_ma_time_ns(), r.cycles, r.luts, r.dsps, ulp);
-  }
-  {
-    const auto& r = report("PCS-FMA");
-    CsFma unit(kPcsGeometry);
-    double ulp = mean_ulp([&](const PFloat& a, const PFloat& b, const PFloat& c) {
-      return unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
-    });
-    std::printf("%-22s | %8.2f | %6d | %6d | %4d | %9.4f\n",
-                "PCS-FMA 55/11 (paper)", r.min_ma_time_ns(), r.cycles, r.luts,
-                r.dsps, ulp);
-  }
-  for (const CsGeometry& cfg :
-       {CsGeometry::pcs(56, 14), CsGeometry::pcs(44, 11),
+  row("discrete mul+add", synthesize_coregen_pair(dev, 200.0),
+      mean_ulp([](const PFloat& a, const PFloat& b, const PFloat& c) {
+        return PFloat::add(PFloat::mul(b, c, kBinary64, Round::NearestEven), a,
+                           kBinary64, Round::NearestEven);
+      }));
+  std::printf("\n");
+  for (const CsGeometry& g :
+       {kPcsGeometry, CsGeometry::pcs(56, 14), CsGeometry::pcs(44, 11),
         CsGeometry::pcs(33, 11), CsGeometry::pcs(22, 11)}) {
-    CsFma unit(cfg);
-    double ulp = mean_ulp([&](const PFloat& a, const PFloat& b, const PFloat& c) {
-      return unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
-    });
+    const bool paper = g.block() == kPcsGeometry.block() &&
+                       g.group() == kPcsGeometry.group();
     char name[32];
-    std::snprintf(name, sizeof name, "PCS-FMA %d/%d", cfg.block(), cfg.group());
-    std::printf("%-22s | %8s | %6s | %6s | %4s | %9.4f   (%db operands)\n",
-                name, "~", "~", "~", "~", ulp, cfg.operand_bits());
+    std::snprintf(name, sizeof name,
+                  paper ? "PCS-FMA %d/%d (paper)" : "PCS-FMA %d/%d", g.block(),
+                  g.group());
+    row(name, synthesize(name, build_pcs_fma(dev, g), dev, 200.0), cs_ulp(g));
+    if (!paper) std::printf("   (%db operands)", g.operand_bits());
+    std::printf("\n");
   }
-  {
-    const auto& r = report("FCS-FMA");
-    CsFma unit(kFcsGeometry);
-    double ulp = mean_ulp([&](const PFloat& a, const PFloat& b, const PFloat& c) {
-      return unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
-    });
-    std::printf("%-22s | %8.2f | %6d | %6d | %4d | %9.4f\n", "FCS-FMA (LZA)",
-                r.min_ma_time_ns(), r.cycles, r.luts, r.dsps, ulp);
-  }
-  {
-    SynthesisReport r = synthesize("fcs-zd", build_fcs_fma_zd(dev), dev, 200.0);
-    CsFma unit(CsGeometry::fcs(BlockSelect::Zd));
-    double ulp = mean_ulp([&](const PFloat& a, const PFloat& b, const PFloat& c) {
-      return unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
-    });
-    std::printf("%-22s | %8.2f | %6d | %6d | %4d | %9.4f\n", "FCS-FMA (ZD)",
-                r.min_ma_time_ns(), r.cycles, r.luts, r.dsps, ulp);
+  for (BlockSelect s : {BlockSelect::Lza, BlockSelect::Zd}) {
+    row(s == BlockSelect::Lza ? "FCS-FMA (LZA)" : "FCS-FMA (ZD)",
+        synthesize("fcs", build_fcs_fma(dev, s), dev, 200.0),
+        cs_ulp(CsGeometry::fcs(s)));
+    std::printf("\n");
   }
   std::printf("\nsmaller PCS geometries shrink operands below the 192b paper\n"
               "format at the cost of sub-double accuracy — the knob Sec. V\n"

@@ -1,15 +1,13 @@
 // Design-point evaluation: one DseConfig through the structural
 // timing/area model and the switching-activity energy model.
 //
-// The fixed Table I chains in fpga/architectures.cpp pin every width to
-// the paper's shipping geometry; eval_design() generalizes them over the
-// DseConfig knobs.  At the paper's defaults the parameterized chains
-// reproduce the fixed builders component for component (tested in
-// tests/dse/eval_test.cpp), so the exploration's origin point is exactly
-// the Table I model.  Every output is a pure function of the DseConfig
-// alone — same determinism contract as the engine: no wall clock, no
-// global state, safe to evaluate concurrently and to cache by canonical
-// key.
+// The chains come from the fpga/architectures.hpp builders, the same ones
+// Table I, Fig 13 and the HLS operator library use: build_model_chain()
+// only maps the DseConfig knobs onto their parameters, so the
+// exploration's origin points are the Table I model by construction.
+// Every output is a pure function of the DseConfig alone — same
+// determinism contract as the engine: no wall clock, no global state, safe
+// to evaluate concurrently and to cache by canonical key.
 #pragma once
 
 #include <vector>
@@ -32,9 +30,9 @@ struct DseMetrics {
   double energy_nj = 0.0;       // alpha*toggles + beta*LUTs (Table II model)
 };
 
-/// The parameterized component chain for one design point on `dev`.
-/// At the paper's default geometry this reproduces the corresponding
-/// fixed builder in fpga/architectures.cpp exactly.
+/// The component chain for one design point on `dev`: the PCS/FCS
+/// builders at the configured geometry, select and rounding width, or the
+/// CoreGen pair / FloPoCo chain with its rounding stage retuned.
 std::vector<Component> build_model_chain(const DseConfig& cfg,
                                          const Device& dev);
 

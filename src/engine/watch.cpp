@@ -33,16 +33,6 @@ void annotate(SignalTap& tap, const EventLog& events, std::uint64_t op,
 
 }  // namespace
 
-bool parse_unit_kind(const std::string& name, UnitKind* out) {
-  for (UnitKind k : kAllUnitKinds) {
-    if (name == to_string(k)) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
-}
-
 WatchOptions extract_watch_args(std::vector<std::string>& args) {
   WatchOptions opts;
   std::vector<std::string> rest;

@@ -26,10 +26,6 @@ struct WatchOptions {
   bool enabled() const { return !vcd_path.empty(); }
 };
 
-/// Parse a unit name ("discrete", "classic", "pcs", "fcs"); returns false
-/// (leaving *out untouched) on anything else.
-bool parse_unit_kind(const std::string& name, UnitKind* out);
-
 /// Strip `--vcd <file>`, `--watch <index>` and `--unit <name>` from an
 /// argv-style vector (leaving every other argument in place, in order) and
 /// return the parsed options.  CHECK-fails on a missing value or a bad

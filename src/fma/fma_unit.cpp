@@ -22,6 +22,16 @@ const char* to_string(UnitKind kind) {
   return "?";
 }
 
+bool parse_unit_kind(std::string_view name, UnitKind* out) {
+  for (UnitKind k : kAllUnitKinds) {
+    if (name == to_string(k)) {
+      *out = k;
+      return true;
+    }
+  }
+  return false;
+}
+
 const char* to_string(LatencyClass lc) {
   switch (lc) {
     case LatencyClass::DiscretePair:

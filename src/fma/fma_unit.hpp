@@ -57,6 +57,9 @@ enum class UnitKind {
 };
 
 const char* to_string(UnitKind kind);
+/// Parse a unit name ("discrete", "classic", "pcs", "fcs"); returns false
+/// (leaving *out untouched) on anything else.
+bool parse_unit_kind(std::string_view name, UnitKind* out);
 
 /// All kinds, for sweeps over the whole ladder.
 inline constexpr UnitKind kAllUnitKinds[] = {UnitKind::Discrete,

@@ -1,6 +1,8 @@
 #include "fpga/architectures.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/check.hpp"
 #include "cs/csa_tree.hpp"
@@ -16,6 +18,11 @@ double add_logic(const Device& d, int n) {
 }
 
 double lut_level(const Device& d) { return d.lut6_logic_ns + d.lut_route_ns; }
+
+/// Scale a baseline LUT count by a width ratio; ratio 1 returns it exactly.
+int scl(int base, double ratio) {
+  return static_cast<int>(std::lround(base * ratio));
+}
 
 }  // namespace
 
@@ -80,72 +87,115 @@ std::vector<Component> build_flopoco_fused(const Device& dev) {
   return c;
 }
 
-std::vector<Component> build_pcs_fma(const Device& dev) {
-  // Fig 9.  Multiplier: 21 DSP tiles (ceil(110/17) x ceil(53/24)) whose
-  // partial products reduce in a LUT CSA tree; C-rounding correction adds
-  // one row (Fig 6).  A-path rounding + pre-shift run in parallel with the
-  // multiply.  Then the 385b 3:2 adder, Carry Reduction (11b group
-  // adders), the block Zero Detector and the 6:1 result multiplexer.
+std::vector<Component> build_pcs_fma(const Device& dev, const CsGeometry& g,
+                                     int round_width) {
+  CSFMA_CHECK_MSG(g.mant_blocks() == 2, "build_pcs_fma needs a PCS geometry");
+  // Fig 9.  Multiplier: DSP tiles (21 = ceil(110/17) x ceil(53/24) at
+  // 55/11) whose partial products reduce in a LUT CSA tree; C-rounding
+  // correction adds one row (Fig 6).  A-path rounding + pre-shift run in
+  // parallel with the multiply.  Then the 3:2 adder, Carry Reduction
+  // (group-digit adders), the block Zero Detector and the result
+  // multiplexer.  At 55/11 with a one-block rounding width every ratio
+  // below is 1, so the paper's design gets the calibrated Table I areas.
+  const CsGeometry& base = kPcsGeometry;
+  const int tiles = g.dsp_tiles();  // DSP48 17x24 grid
+  const int tree_levels = csa_levels_for_rows(tiles + 1);  // + C-round row
+  const int base_levels = csa_levels_for_rows(21 + 1);
+  const double w_adder =
+      g.adder_width() / static_cast<double>(base.adder_width());
+  const double w_rw = (round_width > 0 ? round_width : g.block()) /
+                      static_cast<double>(g.block());
+  const int mux_inputs = g.adder_blocks() - 1;
+  const int mux_levels = mux_inputs <= 6 ? 2 : 3;
+
   std::vector<Component> c;
-  const int tree_rows = 21 + 1;  // tiles + C-rounding correction row
-  const int tree_levels = csa_levels_for_rows(tree_rows);
-  c.push_back(Component::atomic("in-route", 0.9, {80, 0}));
-  c.push_back(Component::atomic("mult/dsp-tiles", dev.dsp_mult_ns, {260, 21}));
-  c.push_back(Component::layered("mult/csa-tree", tree_levels, lut_level(dev),
-                                 {1700, 0}));
-  c.push_back(Component::parallel("a-round+preshift", {980, 0}));
-  c.push_back(Component::parallel("c-round", {310, 0}));
-  c.push_back(Component::atomic("add/3:2", lut_level(dev), {770, 0}));
+  c.push_back(Component::atomic(
+      "in-route", 0.9,
+      {scl(80, g.operand_bits() / static_cast<double>(base.operand_bits())),
+       0}));
+  c.push_back(Component::atomic("mult/dsp-tiles", dev.dsp_mult_ns,
+                                {scl(260, tiles / 21.0), tiles}));
+  c.push_back(Component::layered(
+      "mult/csa-tree", tree_levels, lut_level(dev),
+      {scl(1700, (g.product_width() * tree_levels) /
+                     static_cast<double>(base.product_width() * base_levels)),
+       0}));
+  c.push_back(Component::parallel("a-round+preshift",
+                                  {scl(980, 0.5 * w_adder + 0.5 * w_rw), 0}));
+  c.push_back(Component::parallel("c-round", {scl(310, w_rw), 0}));
   c.push_back(
-      Component::atomic("carry-reduce", add_logic(dev, 11) + 0.60, {700, 0}));
-  c.push_back(Component::atomic("zd", 3 * lut_level(dev) + 1.2, {340, 0}));
-  c.push_back(Component::layered("mux6:1", 2, lut_level(dev), {500, 0}));
+      Component::atomic("add/3:2", lut_level(dev), {scl(770, w_adder), 0}));
+  c.push_back(Component::atomic("carry-reduce",
+                                add_logic(dev, g.group()) + 0.60,
+                                {scl(700, w_adder), 0}));
+  c.push_back(Component::atomic("zd", 3 * lut_level(dev) + 1.2,
+                                {scl(340, w_adder), 0}));
+  c.push_back(Component::layered(
+      "mux" + std::to_string(mux_inputs) + ":1", mux_levels, lut_level(dev),
+      {scl(500, (mux_inputs * g.mant_digits()) / (6.0 * 110.0)), 0}));
   c.push_back(Component::atomic("exp/flags", add_logic(dev, 13), {110, 0}));
   c.push_back(Component::layered("result-route/pack", 2, lut_level(dev),
-                                 {52, 0}));
+                                 {scl(52, g.mant_digits() / 110.0), 0}));
   return c;
 }
 
-std::vector<Component> build_fcs_fma(const Device& dev) {
+std::vector<Component> build_fcs_fma(const Device& dev, BlockSelect select,
+                                     int block, int round_width) {
   CSFMA_CHECK_MSG(dev.has_preadder,
                   "FCS-FMA requires DSP pre-adders (Virtex-6 or later)");
   // Fig 11.  The pre-adders assimilate C's CS planes into the DSP ports,
-  // removing the Carry Reduce step entirely; block selection comes from
-  // the early LZA on the inputs (parallel), so after the 3:2 adder only
-  // the 11:1 multiplexer remains on the critical path.
+  // removing the Carry Reduce step entirely.  With the early LZA on the
+  // inputs (parallel), only the 11:1 multiplexer follows the 3:2 adder on
+  // the critical path; the exact ZD (13 blocks of digit pattern matching
+  // plus the skip-priority chain) sits between them instead.  Areas are
+  // the 29-digit baseline scaled by the block (and rounding) width.
+  const int mant_digits = 3 * block;
+  const int tiles = ((mant_digits + 22) / 23) * 4;  // ceil(3b/23)*ceil(53/17)
+  const int tree_levels = csa_levels_for_rows(tiles + 1);  // + C-round row
+  const int base_levels = csa_levels_for_rows(16 + 1);
+  const double wb = block / 29.0;
+  const double w_rw = (round_width > 0 ? round_width : block) /
+                      static_cast<double>(block);
+
   std::vector<Component> c;
-  const int tree_rows = 16 + 1;  // ceil(87/23)*ceil(53/17) tiles + C-round
-  const int tree_levels = csa_levels_for_rows(tree_rows);
-  c.push_back(Component::atomic("in-route", 0.6, {80, 0}));
-  c.push_back(Component::atomic("mult/pre-add", dev.dsp_preadd_ns, {120, 0}));
-  c.push_back(Component::atomic("mult/dsp-tiles", dev.dsp_mult_ns, {200, 12}));
-  c.push_back(Component::layered("mult/csa-tree", tree_levels, lut_level(dev),
-                                 {1300, 0}));
-  c.push_back(Component::parallel("early-lza", {430, 0}));
-  c.push_back(Component::parallel("a-round+preshift", {830, 0}));
-  c.push_back(Component::parallel("c-round", {250, 0}));
-  c.push_back(Component::atomic("add/3:2", lut_level(dev), {754, 0}));
-  c.push_back(Component::layered("mux11:1", 3, lut_level(dev), {600, 0}));
+  c.push_back(Component::atomic("in-route", 0.6, {scl(80, wb), 0}));
+  c.push_back(
+      Component::atomic("mult/pre-add", dev.dsp_preadd_ns, {scl(120, wb), 0}));
+  c.push_back(Component::atomic("mult/dsp-tiles", dev.dsp_mult_ns,
+                                {scl(200, tiles / 16.0),
+                                 scl(12, tiles / 16.0)}));
+  c.push_back(Component::layered(
+      "mult/csa-tree", tree_levels, lut_level(dev),
+      {scl(1300, (mant_digits * tree_levels) /
+                     static_cast<double>(87 * base_levels)),
+       0}));
+  if (select == BlockSelect::Lza) {
+    c.push_back(Component::parallel("early-lza", {scl(430, wb), 0}));
+  }
+  c.push_back(Component::parallel("a-round+preshift",
+                                  {scl(830, 0.5 * wb + 0.5 * w_rw), 0}));
+  c.push_back(Component::parallel("c-round", {scl(250, w_rw), 0}));
+  c.push_back(
+      Component::atomic("add/3:2", lut_level(dev), {scl(754, wb), 0}));
+  if (select == BlockSelect::Zd) {
+    c.push_back(Component::atomic("zd", 3 * lut_level(dev) + 1.4,
+                                  {scl(500, wb), 0}));
+  }
+  c.push_back(Component::layered("mux11:1", 3, lut_level(dev),
+                                 {scl(600, wb), 0}));
   c.push_back(Component::atomic("exp/flags", add_logic(dev, 13), {100, 0}));
-  c.push_back(Component::atomic("result-route/pack", 1.0, {101, 0}));
+  c.push_back(Component::atomic("result-route/pack", 1.0, {scl(101, wb), 0}));
   return c;
 }
 
-std::vector<Component> build_fcs_fma_zd(const Device& dev) {
-  std::vector<Component> base = build_fcs_fma(dev);
-  std::vector<Component> c;
-  for (auto& comp : base) {
-    if (comp.name == "early-lza") continue;  // replaced by the ZD
-    c.push_back(comp);
-    if (comp.name == "add/3:2") {
-      // The exact zero detector sits on the critical path between the
-      // adder and the mux (13 blocks of digit pattern matching plus the
-      // skip-priority chain) and "determines the total FMA latency".
-      c.push_back(Component::atomic(
-          "zd", 3 * (dev.lut6_logic_ns + dev.lut_route_ns) + 1.4, {500, 0}));
+void retune_round(std::vector<Component>& chain, const Device& dev,
+                  int round_width, double lut_ratio) {
+  for (auto& c : chain) {
+    if (c.name == "round") {
+      c = Component::atomic("round", add_logic(dev, round_width),
+                            {scl(c.area.luts, lut_ratio), 0});
     }
   }
-  return c;
 }
 
 SynthesisReport synthesize(const std::string& name,

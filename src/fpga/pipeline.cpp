@@ -136,7 +136,9 @@ PipelineResult pipeline_chain(const std::vector<Component>& chain,
       }
       tap->vcd().comment("pipe stage " + std::to_string(i) + ": " +
                          (members.empty() ? "registers only" : members));
-      tap->begin_stage("s" + std::to_string(i));
+      std::string stage = "s";
+      stage += std::to_string(i);
+      tap->begin_stage(stage);
       cum += r.stage_delays[i];
       tap->tap_u64("pipe.stage_delay_ps",
                    (std::uint64_t)std::llround(r.stage_delays[i] * 1000.0), 32);

@@ -141,14 +141,18 @@ std::string VcdWriter::render() const {
   std::uint64_t cur = ~std::uint64_t{0};
   for (const auto& c : changes_) {
     if (c.time != cur) {
-      out += "#" + std::to_string(c.time) + "\n";
+      out += '#';
+      out += std::to_string(c.time);
+      out += '\n';
       cur = c.time;
     }
     const Signal& s = signals_[(std::size_t)c.signal];
     if (s.width > 1) {
       out += binary_token(c.words, s.width) + " " + id_code(c.signal) + "\n";
     } else {
-      out += ((c.words[0] & 1u) ? "1" : "0") + id_code(c.signal) + "\n";
+      out += (c.words[0] & 1u) ? '1' : '0';
+      out += id_code(c.signal);
+      out += '\n';
     }
   }
   // Close the waveform one tick after the last change so viewers show the

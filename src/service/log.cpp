@@ -26,7 +26,10 @@ ServiceLog::Line::Line(ServiceLog* log, const char* kind)
 
 ServiceLog::Line& ServiceLog::Line::det(const char* key,
                                         const std::string& v) {
-  det_.emplace_back(key, "\"" + json_escape(v) + "\"");
+  std::string quoted = "\"";  // appends dodge g++ 12's false -Wrestrict
+  quoted += json_escape(v);
+  quoted += '"';
+  det_.emplace_back(key, std::move(quoted));
   return *this;
 }
 

@@ -41,16 +41,6 @@ bool parse_sim_mode(std::string_view s, SimMode* out) {
   return true;
 }
 
-bool parse_unit_kind(std::string_view s, UnitKind* out) {
-  for (UnitKind k : kAllUnitKinds) {
-    if (s == to_string(k)) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool parse_round(std::string_view s, Round* out) {
   for (Round r : {Round::NearestEven, Round::HalfAwayFromZero,
                   Round::TowardZero, Round::TowardPositive,

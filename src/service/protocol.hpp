@@ -61,7 +61,6 @@ enum class SimMode {
 
 const char* to_string(SimMode m);
 bool parse_sim_mode(std::string_view s, SimMode* out);
-bool parse_unit_kind(std::string_view s, UnitKind* out);
 bool parse_round(std::string_view s, Round* out);
 
 /// Typed error codes for error replies (docs/service.md#errors).

@@ -21,6 +21,19 @@ PFloat rand_op(Rng& rng) {
   return PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-8, 8));
 }
 
+TEST(FmaUnit, UnitKindNamesRoundTrip) {
+  for (UnitKind kind : kAllUnitKinds) {
+    UnitKind parsed = kind == UnitKind::Pcs ? UnitKind::Fcs : UnitKind::Pcs;
+    ASSERT_TRUE(parse_unit_kind(to_string(kind), &parsed)) << to_string(kind);
+    EXPECT_EQ(parsed, kind);
+  }
+  UnitKind untouched = UnitKind::Classic;
+  for (const char* bad : {"", "PCS", "pcs ", "fused"}) {
+    EXPECT_FALSE(parse_unit_kind(bad, &untouched)) << bad;
+    EXPECT_EQ(untouched, UnitKind::Classic);
+  }
+}
+
 TEST(FmaUnit, FactoryCoversEveryKindWithStableMetadata) {
   for (UnitKind kind : kAllUnitKinds) {
     auto unit = make_fma_unit(kind);

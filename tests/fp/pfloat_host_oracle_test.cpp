@@ -19,6 +19,12 @@ struct OpCase {
   int emin, emax;
 };
 
+// Prints the case by value so discovered test names do not carry the
+// (address-randomised) bytes of the name pointer.
+void PrintTo(const OpCase& tc, std::ostream* os) {
+  *os << tc.name << " [" << tc.emin << ", " << tc.emax << "]";
+}
+
 class HostOracle : public ::testing::TestWithParam<OpCase> {};
 
 double host_op(const char* op, double a, double b, double c) {

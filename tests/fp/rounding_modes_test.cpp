@@ -16,6 +16,12 @@ struct ModeCase {
   const char* name;
 };
 
+// Prints the mode by name so discovered test names do not carry the
+// case's pointer and padding bytes.
+void PrintTo(const ModeCase& tc, std::ostream* os) {
+  *os << to_string(tc.mode);
+}
+
 class RoundingSweep : public ::testing::TestWithParam<ModeCase> {};
 
 PFloat apply(const char* op, const PFloat& a, const PFloat& b, Round rm) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 
 namespace csfma {
@@ -102,11 +105,75 @@ TEST(Architectures, ZdVariantCostsAStage) {
   // the detector on the critical path and pays a pipeline stage.
   const Device dev = virtex6();
   SynthesisReport lza = synthesize("lza", build_fcs_fma(dev), dev, 200.0);
-  SynthesisReport zd = synthesize("zd", build_fcs_fma_zd(dev), dev, 200.0);
+  SynthesisReport zd =
+      synthesize("zd", build_fcs_fma(dev, BlockSelect::Zd), dev, 200.0);
   EXPECT_EQ(zd.cycles, lza.cycles + 1);
   EXPECT_GT(zd.luts, lza.luts);
   EXPECT_EQ(zd.dsps, lza.dsps);
   EXPECT_GT(zd.min_ma_time_ns(), lza.min_ma_time_ns());
+}
+
+// Recorded from the fixed Table I builders the geometry-driven PCS/FCS
+// builders replaced: cycles, LUTs and DSPs exactly, fmax as the exact
+// double (hex literal).
+struct PinnedRow {
+  const char* arch;
+  int cycles, luts, dsps;
+  double fmax_mhz;
+};
+
+void expect_pinned(const SynthesisReport& r, const PinnedRow& want,
+                   const std::string& where) {
+  EXPECT_EQ(r.arch, want.arch) << where;
+  EXPECT_EQ(r.cycles, want.cycles) << where << " " << r.arch;
+  EXPECT_EQ(r.luts, want.luts) << where << " " << r.arch;
+  EXPECT_EQ(r.dsps, want.dsps) << where << " " << r.arch;
+  EXPECT_EQ(r.fmax_mhz, want.fmax_mhz) << where << " " << r.arch;
+}
+
+void expect_table(const Device& dev, const std::vector<PinnedRow>& want) {
+  const auto got = table1_reports(dev, 200.0);
+  ASSERT_EQ(got.size(), want.size()) << dev.name;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    expect_pinned(got[i], want[i], dev.name);
+}
+
+TEST(Architectures, TableIRowsMatchRecordedValues) {
+  expect_table(virtex5(),
+               {{"Xilinx CoreGen", 9, 1393, 13, 0x1.96a7d52dba44bp+7},
+                {"FloPoCo FPPipeline", 12, 1668, 7, 0x1.754ef652e782dp+7},
+                {"PCS-FMA", 5, 5802, 21, 0x1.a0b5c7684dep+7}});
+  expect_table(virtex6(),
+               {{"Xilinx CoreGen", 9, 1393, 13, 0x1.d3a7685afc9bbp+7},
+                {"FloPoCo FPPipeline", 11, 1668, 7, 0x1.7c3a672dbfc1ap+7},
+                {"PCS-FMA", 5, 5802, 21, 0x1.d64b0bd6bea01p+7},
+                {"FCS-FMA", 3, 4765, 12, 0x1.90cd35de23e97p+7}});
+  expect_table(virtex7(),
+               {{"Xilinx CoreGen", 8, 1393, 13, 0x1.9240ab5a69dc2p+7},
+                {"FloPoCo FPPipeline", 9, 1668, 7, 0x1.80064ab740192p+7},
+                {"PCS-FMA", 5, 5802, 21, 0x1.ff01d0d51378ap+7},
+                {"FCS-FMA", 3, 4765, 12, 0x1.b3a76712d91f1p+7}});
+}
+
+TEST(Architectures, FcsZdRowMatchesRecordedValues) {
+  const Device dev = virtex6();
+  expect_pinned(
+      synthesize("FCS-ZD", build_fcs_fma(dev, BlockSelect::Zd), dev, 200.0),
+      {"FCS-ZD", 4, 4835, 12, 0x1.afb77fcc2127fp+7}, dev.name);
+}
+
+TEST(Architectures, PcsGeometryScalesTheChain) {
+  // Sec. V's smaller PCS geometries: fewer DSP tiles and LUTs than the
+  // paper's 55/11, and the result mux narrows with the adder window.
+  const Device dev = virtex6();
+  const SynthesisReport paper = synthesize("55/11", build_pcs_fma(dev), dev,
+                                           200.0);
+  const SynthesisReport small = synthesize(
+      "22/11", build_pcs_fma(dev, CsGeometry::pcs(22, 11)), dev, 200.0);
+  EXPECT_LT(small.dsps, paper.dsps);
+  EXPECT_LT(small.luts, paper.luts);
+  EXPECT_EQ(small.dsps, CsGeometry::pcs(22, 11).dsp_tiles());
+  EXPECT_THROW(build_pcs_fma(dev, kFcsGeometry), CheckError);
 }
 
 TEST(Architectures, Virtex7SlightlyFaster) {

@@ -12,6 +12,14 @@ namespace {
 
 OperatorLibrary lib() { return OperatorLibrary::for_device(virtex6()); }
 
+/// `prefix` followed by `i`, built by appending (g++ 12 at -O3 reports a
+/// false -Wrestrict on `"x" + std::to_string(i)`).
+std::string indexed(const char* prefix, int i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
+
 /// y = b - L0*z0 - L1*z1 - L2*z2 + w : one sum tree, three products.
 Cdfg row_kernel() {
   Cdfg g;
@@ -19,8 +27,8 @@ Cdfg row_kernel() {
   int w = g.add_input("w");
   std::vector<int> prods;
   for (int i = 0; i < 3; ++i) {
-    int l = g.add_input("L" + std::to_string(i));
-    int z = g.add_input("z" + std::to_string(i));
+    int l = g.add_input(indexed("L", i));
+    int z = g.add_input(indexed("z", i));
     prods.push_back(g.add_op(OpKind::Mul, {l, z}));
   }
   int acc = b;
@@ -55,8 +63,8 @@ TEST(DotInsert, SemanticsPreserved) {
     std::map<std::string, double> in{{"b", rng.next_double(-5, 5)},
                                      {"w", rng.next_double(-5, 5)}};
     for (int i = 0; i < 3; ++i) {
-      in["L" + std::to_string(i)] = rng.next_double(-5, 5);
-      in["z" + std::to_string(i)] = rng.next_double(-5, 5);
+      in[indexed("L", i)] = rng.next_double(-5, 5);
+      in[indexed("z", i)] = rng.next_double(-5, 5);
     }
     double vb = Evaluator(base).run(in).at("y");
     double vf = Evaluator(fused).run(in).at("y");
@@ -81,8 +89,8 @@ TEST(DotInsert, TermLimitRespected) {
   Cdfg g;
   int acc = g.add_input("x");
   for (int i = 0; i < 20; ++i) {
-    int a = g.add_input("a" + std::to_string(i));
-    int b = g.add_input("b" + std::to_string(i));
+    int a = g.add_input(indexed("a", i));
+    int b = g.add_input(indexed("b", i));
     acc = g.add_op(OpKind::Add, {acc, g.add_op(OpKind::Mul, {a, b})});
   }
   g.add_output("o", acc);

@@ -14,11 +14,19 @@ namespace {
 
 OperatorLibrary lib() { return OperatorLibrary::for_device(virtex6()); }
 
+/// `prefix` followed by `i`, built by appending (g++ 12 at -O3 reports a
+/// false -Wrestrict on `indexed("x", i)`).
+std::string indexed(const char* prefix, int i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
+
 Cdfg long_sum(int n) {
   Cdfg g;
   int acc = g.add_input("x0");
   for (int i = 1; i < n; ++i) {
-    int x = g.add_input("x" + std::to_string(i));
+    int x = g.add_input(indexed("x", i));
     acc = (i % 3 == 0) ? g.add_op(OpKind::Sub, {acc, x})
                        : g.add_op(OpKind::Add, {acc, x});
   }
@@ -52,8 +60,8 @@ TEST(Reassociate, ValuesWithinReassociationEnvelope) {
     std::map<std::string, double> in;
     double maxmag = 0;
     for (int i = 0; i < 16; ++i) {
-      in["x" + std::to_string(i)] = rng.next_double(-100, 100);
-      maxmag = std::max(maxmag, std::fabs(in["x" + std::to_string(i)]));
+      in[indexed("x", i)] = rng.next_double(-100, 100);
+      maxmag = std::max(maxmag, std::fabs(in[indexed("x", i)]));
     }
     double vb = Evaluator(base).run(in).at("s");
     double vf = Evaluator(bal).run(in).at("s");
@@ -93,8 +101,8 @@ TEST(Reassociate, BreaksFmaChains) {
   Cdfg g;
   int acc = g.add_input("b");
   for (int i = 0; i < 8; ++i) {
-    int x = g.add_input("x" + std::to_string(i));
-    int y = g.add_input("y" + std::to_string(i));
+    int x = g.add_input(indexed("x", i));
+    int y = g.add_input(indexed("y", i));
     acc = g.add_op(OpKind::Sub, {acc, g.add_op(OpKind::Mul, {x, y})});
   }
   g.add_output("o", acc);
@@ -110,8 +118,8 @@ TEST(Reassociate, BreaksFmaChains) {
   Rng rng(221);
   std::map<std::string, double> in{{"b", 3.0}};
   for (int i = 0; i < 8; ++i) {
-    in["x" + std::to_string(i)] = rng.next_double(-2, 2);
-    in["y" + std::to_string(i)] = rng.next_double(-2, 2);
+    in[indexed("x", i)] = rng.next_double(-2, 2);
+    in[indexed("y", i)] = rng.next_double(-2, 2);
   }
   double v1 = Evaluator(fma_only).run(in).at("o");
   double v2 = Evaluator(bal_then_fma).run(in).at("o");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace csfma {
 namespace {
 
@@ -95,7 +97,11 @@ TEST(Schedule, ListResourceLimitSerializesIndependentOps) {
   int b = g.add_input("b");
   std::vector<int> ms;
   for (int i = 0; i < 8; ++i) ms.push_back(g.add_op(OpKind::Mul, {a, b}));
-  for (int i = 0; i < 8; ++i) g.add_output("o" + std::to_string(i), ms[(size_t)i]);
+  for (int i = 0; i < 8; ++i) {
+    std::string name = "o";
+    name += std::to_string(i);
+    g.add_output(name, ms[(size_t)i]);
+  }
   ResourceLimits lim;
   lim.mul = 1;
   Schedule s = schedule_list(g, l, lim);
@@ -125,6 +131,34 @@ TEST(Schedule, BaselineLatenciesMatchPaperSetup) {
   EXPECT_EQ(l.attr(OpKind::Add).latency, 4);
   EXPECT_EQ(l.attr(OpKind::Fma, FmaStyle::Pcs).latency, 5);
   EXPECT_EQ(l.attr(OpKind::Fma, FmaStyle::Fcs).latency, 3);
+}
+
+TEST(Schedule, OperatorLibraryMatchesRecordedValues) {
+  // Latency, LUTs and DSPs the fpga/ synthesis model hands the scheduler,
+  // recorded from the fixed Table I builders on each device; Virtex-5 has
+  // no pre-adders, so no FCS unit.
+  struct Pin {
+    Device dev;
+    OpAttr mul, add, pcs, fcs;
+  };
+  for (const Pin& p : {Pin{virtex5(), {5, 686, 13}, {4, 707, 0},
+                           {5, 5802, 21}, {0, 0, 0}},
+                       Pin{virtex6(), {5, 686, 13}, {4, 707, 0},
+                           {5, 5802, 21}, {3, 4765, 12}},
+                       Pin{virtex7(), {4, 686, 13}, {4, 707, 0},
+                           {5, 5802, 21}, {3, 4765, 12}}}) {
+    const OperatorLibrary l = OperatorLibrary::for_device(p.dev, 200.0);
+    const std::pair<OpAttr, OpAttr> got_want[] = {
+        {l.attr(OpKind::Mul), p.mul},
+        {l.attr(OpKind::Add), p.add},
+        {l.attr(OpKind::Fma, FmaStyle::Pcs), p.pcs},
+        {l.attr(OpKind::Fma, FmaStyle::Fcs), p.fcs}};
+    for (const auto& [got, want] : got_want) {
+      EXPECT_EQ(got.latency, want.latency) << p.dev.name;
+      EXPECT_EQ(got.luts, want.luts) << p.dev.name;
+      EXPECT_EQ(got.dsps, want.dsps) << p.dev.name;
+    }
+  }
 }
 
 TEST(Schedule, ReportSummarizesKindsAndSpans) {

@@ -73,8 +73,11 @@ TEST(VcdWriter, ValuesAreMaskedToDeclaredWidth) {
 
 TEST(VcdWriter, IdCodesCoverMoreThan94Signals) {
   VcdWriter w;
-  for (int i = 0; i < 100; ++i)
-    w.declare("s" + std::to_string(i), 1);
+  for (int i = 0; i < 100; ++i) {
+    std::string name = "s";
+    name += std::to_string(i);
+    w.declare(name, 1);
+  }
   const std::string text = w.render();
   // Signal 94 rolls over to a two-character id: digits (1, 0) in base 94
   // render as '"' then '!'.

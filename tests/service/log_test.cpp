@@ -93,8 +93,9 @@ TEST(ServiceLog, ConcurrentWritersKeepSeqAndTimestampsOrdered) {
     std::vector<std::thread> writers;
     for (int w = 0; w < 4; ++w) {
       writers.emplace_back([&log, w] {
-        for (int i = 0; i < 50; ++i)
-          log->line("reject").det("conn", "c" + std::to_string(w));
+        std::string conn = "c";
+        conn += std::to_string(w);
+        for (int i = 0; i < 50; ++i) log->line("reject").det("conn", conn);
       });
     }
     for (auto& t : writers) t.join();

@@ -281,7 +281,9 @@ std::string render_sweep_line(const Options& o, const std::string& trace_id,
   w.key("type");
   w.value("sweep");
   w.key("id");
-  w.value("c" + std::to_string(ordinal));
+  std::string id = "c";
+  id += std::to_string(ordinal);
+  w.value(id);
   // The distributed-tracing context: the daemon echoes both fields on
   // every reply and stamps its server spans with them, which is what lets
   // trace_merge.py parent the daemon-side req-N span tree under this
