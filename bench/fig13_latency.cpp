@@ -24,24 +24,10 @@ namespace {
 void write_watch_vcd(const csfma::WatchOptions& watch) {
   using namespace csfma;
   // The watched stream: fixed-seed random triples, pure function of index.
-  RandomTripleSource src(0xF13, 65536);
-  OperandTriple t;
-  src.fill(watch.watch_op, &t, 1);
-
   SignalTap tap(to_string(watch.unit));
   EventLog events(64);
-  IntrospectHooks hooks;
-  hooks.tap = &tap;
-  hooks.events = &events;
-  auto unit = make_fma_unit(watch.unit, nullptr, &hooks);
-  tap.begin_op(watch.watch_op);
-  events.begin_op(watch.watch_op, t.a.to_bits().lo64(), t.b.to_bits().lo64(),
-                  t.c.to_bits().lo64());
-  unit->fma_ieee(t.a, t.b, t.c, Round::NearestEven);
-  for (const NumEvent& e : events.events()) {
-    tap.vcd().comment(std::string("event ") + to_string(e.kind) +
-                      " detail=" + std::to_string(e.detail));
-  }
+  run_watched_op(watch, RandomTripleSource(0xF13, 65536), Round::NearestEven,
+                 &tap, &events);
 
   // The same architecture's synthesis-model pipeline, stage by stage.
   const Device dev = virtex6();

@@ -90,6 +90,8 @@ class _SocketTransport:
     def __init__(self, addr, timeout_s=300.0):
         if isinstance(addr, tuple):
             self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            # One small line per request: do not hold it back for an ACK.
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         else:
             self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self.sock.settimeout(timeout_s)

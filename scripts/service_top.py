@@ -20,10 +20,8 @@ stops answering shows as "down" without taking the panel out.
 
   service_top.py --tcp 127.0.0.1:7421 --tcp 127.0.0.1:7422
 
-Percentiles are recomputed client-side from the raw histogram buckets —
-the same fixed-bucket interpolation MetricsRegistry uses — so the numbers
-shown here cross-check the daemon's own `percentiles` rendering; a
-mismatch beyond float formatting is a bug.  python3 stdlib only.
+Latency percentiles are the ones the daemon computes into the `stats`
+reply's `percentiles` section.  python3 stdlib only.
 """
 
 from __future__ import annotations
@@ -36,35 +34,6 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from csfma_client import CsfmaClient, ProtocolError  # noqa: E402
-
-
-def percentile(bounds, counts, q):
-    """Mirror of HistogramSnapshot::percentile (src/telemetry/metrics.cpp).
-
-    Smallest bucket whose cumulative count reaches q*total, linearly
-    interpolated inside the bucket; the overflow bucket saturates at the
-    last finite bound; an empty histogram reports 0.
-    """
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    if not q >= 0.0:  # NaN and negatives alike, mirroring the C++ clamp
-        q = 0.0
-    q = min(q, 1.0)
-    rank = q * total
-    cum = 0
-    for i, in_bucket in enumerate(counts):
-        if in_bucket == 0:
-            continue
-        if cum + in_bucket >= rank:
-            if i >= len(bounds):
-                return bounds[-1] if bounds else 0.0
-            lo = 0.0 if i == 0 else bounds[i - 1]
-            hi = bounds[i]
-            frac = max((rank - cum) / in_bucket, 0.0)
-            return lo + (hi - lo) * frac
-        cum += in_bucket
-    return bounds[-1] if bounds else 0.0
 
 
 def _fmt_ms(v):
@@ -106,7 +75,6 @@ def render(st, depth_history=None, points_per_s=None, frontier=None):
     m = st.get("metrics", {})
     counters = {k: v["value"] for k, v in m.get("counters", {}).items()}
     gauges = {k: v["value"] for k, v in m.get("gauges", {}).items()}
-    hists = m.get("histograms", {})
 
     lines = []
     up = st.get("uptime_s", 0.0)
@@ -150,17 +118,16 @@ def render(st, depth_history=None, points_per_s=None, frontier=None):
     lines.append("")
     lines.append(f"{'latency (ms)':28s} {'count':>7s} {'p50':>8s} "
                  f"{'p90':>8s} {'p99':>8s}")
-    rows = [(k, v) for k, v in sorted(hists.items())
+    rows = [(k, p) for k, p in sorted(st.get("percentiles", {}).items())
             if k.startswith("service.latency_ms.") or
             k == "service.queue_wait_ms"]
-    for name, h in rows:
+    for name, p in rows:
         label = name.replace("service.latency_ms.", "").replace(
             "service.queue_wait_ms", "queue_wait")
-        cnt = h.get("count", 0)
-        b, c = h.get("bounds", []), h.get("counts", [])
-        lines.append(f"{label:28s} {cnt:7d} {_fmt_ms(percentile(b, c, 0.5))} "
-                     f"{_fmt_ms(percentile(b, c, 0.9))} "
-                     f"{_fmt_ms(percentile(b, c, 0.99))}")
+        lines.append(f"{label:28s} {p.get('count', 0):7d} "
+                     f"{_fmt_ms(p.get('p50', 0.0))} "
+                     f"{_fmt_ms(p.get('p90', 0.0))} "
+                     f"{_fmt_ms(p.get('p99', 0.0))}")
     if not rows:
         lines.append("  (no requests finished yet)")
     return lines
@@ -179,13 +146,12 @@ def _daemon_health(st):
     m = st.get("metrics", {})
     counters = {k: v["value"] for k, v in m.get("counters", {}).items()}
     gauges = {k: v["value"] for k, v in m.get("gauges", {}).items()}
-    hists = m.get("histograms", {})
     hits = counters.get("service.cache.hits", 0)
     misses = counters.get("service.cache.misses", 0)
-    p99 = 0.0
-    for name, h in hists.items():
-        if name.startswith("service.latency_ms.") and h.get("count", 0):
-            p99 = max(p99, percentile(h["bounds"], h["counts"], 0.99))
+    p99 = max((p.get("p99", 0.0)
+               for name, p in st.get("percentiles", {}).items()
+               if name.startswith("service.latency_ms.") and p.get("count", 0)),
+              default=0.0)
     return {
         "up_s": st.get("uptime_s", 0.0),
         "depth": gauges.get("service.queue.depth", 0.0),

@@ -1,9 +1,11 @@
 #include "engine/sim_engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "common/check.hpp"
@@ -13,11 +15,11 @@ namespace csfma {
 
 namespace {
 
-/// Serialized, rate-limited progress emission shared by the batch and
-/// chained drivers.  Workers bump atomic counters per completed shard; a
-/// compare-exchange on the next-beat deadline elects at most one emitter
-/// per interval, and the callback itself runs under a mutex so user code
-/// never sees concurrent invocations.
+/// Serialized, rate-limited progress emission for the shard driver.
+/// Workers bump atomic counters per completed shard; a compare-exchange
+/// on the next-beat deadline elects at most one emitter per interval, and
+/// the callback itself runs under a mutex so user code never sees
+/// concurrent invocations.
 class ProgressGate {
  public:
   using clock = std::chrono::steady_clock;
@@ -82,6 +84,265 @@ class ProgressGate {
   std::mutex mu_;
 };
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Where one worker's phases report: the run's trace session on the
+/// worker's lane and the current shard's host profiler (either may be
+/// null).
+struct Sinks {
+  TraceSession* trace = nullptr;
+  HostProfiler* prof = nullptr;
+  int lane = 0;
+};
+
+/// One engine phase as one scope statement, reported to every attached
+/// sink: the trace span `<phase>`, the profiler scope `engine.<phase>`
+/// with `items` work units and, when `seconds` is given, the phase's wall
+/// time, stored at scope exit.  A null sink costs a pointer test.
+class PhaseScope {
+ public:
+  PhaseScope(const Sinks& sinks, const char* phase, std::uint64_t items,
+             double* seconds = nullptr)
+      : span_(sinks.trace, phase, "engine", sinks.lane),
+        scope_(sinks.prof, sinks.prof != nullptr
+                               ? std::string("engine.") + phase
+                               : std::string()),
+        seconds_(seconds) {
+    scope_.items(items);
+    if (seconds_ != nullptr) t0_ = std::chrono::steady_clock::now();
+  }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+  ~PhaseScope() {
+    if (seconds_ != nullptr) *seconds_ = seconds_since(t0_);
+  }
+
+  void arg(std::string_view key, std::uint64_t value) { span_.arg(key, value); }
+
+ private:
+  TraceSpan span_;
+  ProfScope scope_;
+  double* seconds_;
+  std::chrono::steady_clock::time_point t0_;
+};
+
+/// One claimed shard as a shard body sees it: stream operations
+/// [start, start + ops), a whole number of the run's work items.
+struct Shard {
+  std::uint64_t start = 0;
+  std::size_t ops = 0;
+  int worker = 0;
+  FmaUnit* unit = nullptr;     // fresh, wired to the shard's own recorder
+  EventLog* events = nullptr;  // the shard's own log; null when off
+  Sinks sinks;                 // the worker's lane + the shard's profiler
+  Histogram* consume_wait = nullptr;  // null without a metrics registry
+  double seconds = 0.0;  // simulate time, set by the body's simulate phase
+};
+
+/// The one worker loop behind run_batch, run_stream and run_chained.  A
+/// run is `items` work items of `item_ops` operations each (single
+/// operations, or whole chains) cut into shards of `shard_items`: a pure
+/// function of the data and the config, never of the thread count.
+/// Workers claim shards from an atomic counter until none are left or the
+/// abort flag is raised, and `body` simulates each claimed shard on a
+/// fresh unit.  Recorders, event logs, profilers and ShardStats are per
+/// shard and merge IN SHARD ORDER after the join, so every Deterministic
+/// output is thread-count invariant.
+template <class Body>
+void drive_shards(const EngineConfig& cfg, int threads, std::uint64_t items,
+                  std::uint64_t shard_items, std::uint64_t item_ops,
+                  const Body& body, ActivityRecorder* activity,
+                  EventLog* events, BatchStats* stats) {
+  const std::uint64_t n = items * item_ops;
+  const std::uint64_t num_shards = (items + shard_items - 1) / shard_items;
+
+  std::vector<ActivityRecorder> shard_recs((std::size_t)num_shards);
+  const bool log_events = cfg.event_capacity > 0;
+  std::vector<EventLog> shard_events(
+      log_events ? (std::size_t)num_shards : 0, EventLog(cfg.event_capacity));
+  std::vector<ShardStats> shard_stats((std::size_t)num_shards);
+  // Per-shard host profilers, same shape as shard_recs (deque because
+  // HostProfiler owns a mutex and cannot be copied into a vector).
+  std::deque<HostProfiler> shard_profs;
+  if (cfg.profiler != nullptr) {
+    for (std::uint64_t s = 0; s < num_shards; ++s)
+      shard_profs.emplace_back(cfg.profiler->hw_enabled());
+  }
+
+  // Resolve telemetry handles once, outside the worker loop.  All of the
+  // Deterministic entries are integral and merge by commutative addition,
+  // so concurrent updates from workers cannot perturb the thread-count
+  // invariance contract; the Timing entries make no such promise.
+  MetricsRegistry* metrics = cfg.metrics;
+  Counter* m_ops = nullptr;
+  Counter* m_shards = nullptr;
+  Histogram* m_shard_size = nullptr;
+  Histogram* m_shard_secs = nullptr;
+  Histogram* m_consume_wait = nullptr;
+  if (metrics != nullptr) {
+    m_ops = &metrics->counter("engine.ops");
+    m_shards = &metrics->counter("engine.shards");
+    m_shard_size = &metrics->histogram(
+        "engine.shard.ops", {1, 16, 256, 1024, 4096, 8192, 16384, 65536});
+    m_shard_secs = &metrics->histogram(
+        "engine.shard.seconds",
+        {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0}, Stability::Timing);
+    m_consume_wait = &metrics->histogram(
+        "engine.consume_wait.seconds",
+        {1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}, Stability::Timing);
+  }
+
+  const int nthreads = (int)std::min<std::uint64_t>(num_shards, threads);
+  std::atomic<std::uint64_t> next_shard{0};
+  const auto wall0 = std::chrono::steady_clock::now();
+  ProgressGate gate(cfg.progress, cfg.progress_interval_s, n, num_shards,
+                    wall0);
+
+  auto worker = [&](int wid) {
+    for (;;) {
+      // Cooperative cancellation: stop claiming shards once the abort flag
+      // is raised; the shard being simulated always runs to completion.
+      if (cfg.abort != nullptr && cfg.abort->load(std::memory_order_relaxed))
+        break;
+      const std::uint64_t s = next_shard.fetch_add(1);
+      if (s >= num_shards) break;
+      const std::uint64_t first = s * shard_items;
+      Shard sh;
+      sh.start = first * item_ops;
+      sh.ops = (std::size_t)(std::min(shard_items, items - first) * item_ops);
+      sh.worker = wid;
+      sh.events = log_events ? &shard_events[(std::size_t)s] : nullptr;
+      sh.sinks = {cfg.trace,
+                  cfg.profiler != nullptr ? &shard_profs[(std::size_t)s]
+                                          : nullptr,
+                  wid};
+      sh.consume_wait = m_consume_wait;
+      PhaseScope shard({cfg.trace, nullptr, wid}, "shard", sh.ops);
+      shard.arg("index", s);
+      shard.arg("start", sh.start);
+      shard.arg("ops", (std::uint64_t)sh.ops);
+      IntrospectHooks hooks;
+      hooks.events = sh.events;
+      auto unit = make_fma_unit(cfg.unit, &shard_recs[(std::size_t)s],
+                                sh.events != nullptr ? &hooks : nullptr);
+      sh.unit = unit.get();
+      body(sh);
+
+      shard_stats[(std::size_t)s] = {sh.start, sh.ops, wid, sh.seconds,
+                                     safe_rate(sh.ops, sh.seconds)};
+      if (metrics != nullptr) {
+        m_ops->add(sh.ops);
+        m_shards->add(1);
+        m_shard_size->observe((double)sh.ops);
+        m_shard_secs->observe(sh.seconds);
+      }
+      gate.shard_done(sh.ops);
+    }
+  };
+
+  if (nthreads <= 1) {
+    worker(0);
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve((std::size_t)(nthreads - 1));
+    for (int w = 1; w < nthreads; ++w) pool.emplace_back(worker, w);
+    worker(0);
+    for (auto& t : pool) t.join();
+  }
+  const double wall = seconds_since(wall0);
+
+  // Merge in shard order: deterministic regardless of completion order.
+  {
+    PhaseScope merge({cfg.trace, cfg.profiler, 0}, "merge", num_shards);
+    merge.arg("shards", num_shards);
+    for (const auto& rec : shard_recs) activity->merge_from(rec);
+    if (log_events) {
+      *events = EventLog(cfg.event_capacity);
+      for (const auto& log : shard_events) events->merge_from(log);
+    }
+  }
+  if (cfg.profiler != nullptr) {
+    for (const auto& p : shard_profs) cfg.profiler->merge_from(p);
+  }
+  gate.finish();
+  if (metrics != nullptr) {
+    // Utilization = simulate time / wall time per worker lane; Timing by
+    // definition (and the gauge names depend on the worker count).
+    std::vector<double> worker_busy((std::size_t)nthreads, 0.0);
+    for (const ShardStats& st : shard_stats)
+      worker_busy[(std::size_t)st.worker] += st.seconds;
+    for (int w = 0; w < nthreads; ++w) {
+      metrics
+          ->gauge("engine.worker." + std::to_string(w) + ".utilization",
+                  Stability::Timing)
+          .set(wall > 0.0 ? worker_busy[(std::size_t)w] / wall : 0.0);
+    }
+    metrics->gauge("engine.batch.seconds", Stability::Timing).set(wall);
+    metrics->gauge("engine.batch.ops_per_sec", Stability::Timing)
+        .set(safe_rate(n, wall));
+  }
+  stats->ops = n;
+  stats->seconds = wall;
+  stats->ops_per_sec = safe_rate(n, wall);
+  // A shard the abort flag stopped keeps its zero ShardStats.
+  stats->ops_done = 0;
+  for (const ShardStats& st : shard_stats) stats->ops_done += st.ops;
+  stats->aborted = stats->ops_done < n;
+  stats->shards = std::move(shard_stats);
+}
+
+/// The batch/stream shard body: fill the shard's triples into the worker's
+/// operand buffer, simulate them with the configured backend into
+/// `results` (or, streaming, the worker's reused result buffer) and hand
+/// them to `consume`, serialized, when one is set.
+void run_triples(const EngineConfig& cfg, int threads,
+                 const OperandSource& src, PFloat* results,
+                 const SimEngine::ConsumeFn& consume,
+                 ActivityRecorder* activity, EventLog* events,
+                 BatchStats* stats) {
+  std::vector<std::vector<OperandTriple>> in_bufs((std::size_t)threads);
+  std::vector<std::vector<PFloat>> out_bufs((std::size_t)threads);
+  std::mutex consume_mu;
+  drive_shards(
+      cfg, threads, src.size(), cfg.shard_ops, 1,
+      [&](Shard& sh) {
+        std::vector<OperandTriple>& in = in_bufs[(std::size_t)sh.worker];
+        {
+          PhaseScope fill(sh.sinks, "fill", sh.ops);
+          in.resize(sh.ops);
+          src.fill(sh.start, in.data(), sh.ops);
+        }
+        std::vector<PFloat>& buf = out_bufs[(std::size_t)sh.worker];
+        if (results == nullptr) buf.resize(sh.ops);
+        PFloat* out = results != nullptr ? results + sh.start : buf.data();
+        {
+          PhaseScope simulate(sh.sinks, "simulate", sh.ops, &sh.seconds);
+          FmaBatchHooks bh;
+          bh.rm = cfg.rm;
+          bh.events = sh.events;
+          bh.base_index = sh.start;
+          if (cfg.backend == EngineBackend::Sliced) {
+            sh.unit->fma_ieee_batch(in.data(), sh.ops, out, bh);
+          } else {
+            // Reference oracle: the base-class per-operation loop,
+            // bypassing any unit batch override.
+            sh.unit->FmaUnit::fma_ieee_batch(in.data(), sh.ops, out, bh);
+          }
+        }
+        if (!consume) return;
+        const auto w0 = std::chrono::steady_clock::now();
+        std::lock_guard<std::mutex> lock(consume_mu);
+        if (sh.consume_wait != nullptr)
+          sh.consume_wait->observe(seconds_since(w0));
+        PhaseScope phase(sh.sinks, "consume", sh.ops);
+        consume(sh.start, out, sh.ops);
+      },
+      activity, events, stats);
+}
+
 }  // namespace
 
 const char* to_string(EngineBackend backend) {
@@ -142,209 +403,36 @@ SimEngine::SimEngine(EngineConfig cfg) : cfg_(cfg) {
   if (threads_clamped_) threads_ = hw_threads;
 }
 
-void SimEngine::run_shards(const OperandSource& src, PFloat* results,
-                           const ConsumeFn* consume, ActivityRecorder* activity,
-                           EventLog* events, BatchStats* stats) const {
-  using clock = std::chrono::steady_clock;
-  const std::uint64_t n = src.size();
-  const std::uint64_t shard_ops = cfg_.shard_ops;
-  const std::uint64_t num_shards = (n + shard_ops - 1) / shard_ops;
-
-  std::vector<ActivityRecorder> shard_recs((std::size_t)num_shards);
-  const bool log_events = cfg_.event_capacity > 0;
-  std::vector<EventLog> shard_events(
-      log_events ? (std::size_t)num_shards : 0, EventLog(cfg_.event_capacity));
-  std::vector<ShardStats> shard_stats((std::size_t)num_shards);
-  std::atomic<std::uint64_t> next_shard{0};
-  std::atomic<std::uint64_t> done_shards{0}, done_ops{0};
-  const std::atomic<bool>* abort = cfg_.abort;
-  std::mutex consume_mu;
-
-  // Resolve telemetry handles once, outside the worker loop.  All of the
-  // Deterministic entries are integral and merge by commutative addition,
-  // so concurrent updates from workers cannot perturb the thread-count
-  // invariance contract; the Timing entries make no such promise.
-  MetricsRegistry* metrics = cfg_.metrics;
-  TraceSession* trace = cfg_.trace;
-  Counter* m_ops = nullptr;
-  Counter* m_shards = nullptr;
-  Histogram* m_shard_size = nullptr;
-  Histogram* m_shard_secs = nullptr;
-  Histogram* m_consume_wait = nullptr;
-  if (metrics != nullptr) {
-    m_ops = &metrics->counter("engine.ops");
-    m_shards = &metrics->counter("engine.shards");
-    m_shard_size = &metrics->histogram(
-        "engine.shard.ops", {1, 16, 256, 1024, 4096, 8192, 16384, 65536});
-    m_shard_secs = &metrics->histogram(
-        "engine.shard.seconds",
-        {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0}, Stability::Timing);
-    m_consume_wait = &metrics->histogram(
-        "engine.consume_wait.seconds",
-        {1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}, Stability::Timing);
-  }
-
-  const int nthreads =
-      (int)(num_shards < (std::uint64_t)threads_ ? num_shards
-                                                 : (std::uint64_t)threads_);
-  std::vector<double> worker_busy((std::size_t)(nthreads > 0 ? nthreads : 1),
-                                  0.0);
-
-  // Per-shard host profilers, same shape as shard_recs (deque because
-  // HostProfiler owns a mutex and cannot be copied into a vector).
-  HostProfiler* profiler = cfg_.profiler;
-  std::deque<HostProfiler> shard_profs;
-  if (profiler != nullptr) {
-    for (std::uint64_t s = 0; s < num_shards; ++s)
-      shard_profs.emplace_back(profiler->hw_enabled());
-  }
-
-  const auto wall0 = clock::now();
-  ProgressGate gate(cfg_.progress, cfg_.progress_interval_s, n, num_shards,
-                    wall0);
-
-  auto worker = [&](int wid) {
-    // Reusable per-worker buffers: one operand chunk and (in streaming
-    // mode) one result chunk, regardless of stream length.
-    std::vector<OperandTriple> in_buf;
-    std::vector<PFloat> out_buf;
-    for (;;) {
-      // Cooperative cancellation: stop claiming shards once the abort flag
-      // is raised; the shard being simulated always runs to completion.
-      if (abort != nullptr && abort->load(std::memory_order_relaxed)) break;
-      const std::uint64_t s = next_shard.fetch_add(1);
-      if (s >= num_shards) break;
-      const std::uint64_t start = s * shard_ops;
-      const std::size_t count =
-          (std::size_t)(shard_ops < n - start ? shard_ops : n - start);
-      HostProfiler* prof =
-          profiler != nullptr ? &shard_profs[(std::size_t)s] : nullptr;
-      TraceSpan shard_span(trace, "shard", "engine", wid);
-      shard_span.arg("index", s);
-      shard_span.arg("start", start);
-      shard_span.arg("ops", (std::uint64_t)count);
-      {
-        TraceSpan fill_span(trace, "fill", "engine", wid);
-        ProfScope fill_scope(prof, "engine.fill");
-        fill_scope.items(count);
-        in_buf.resize(count);
-        src.fill(start, in_buf.data(), count);
-      }
-      PFloat* out;
-      if (results != nullptr) {
-        out = results + start;
-      } else {
-        out_buf.resize(count);
-        out = out_buf.data();
-      }
-      ActivityRecorder& rec = shard_recs[(std::size_t)s];
-      EventLog* ev = log_events ? &shard_events[(std::size_t)s] : nullptr;
-      IntrospectHooks hooks;
-      hooks.events = ev;
-      auto unit = make_fma_unit(cfg_.unit, &rec, ev != nullptr ? &hooks : nullptr);
-      const auto t0 = clock::now();
-      {
-        TraceSpan sim_span(trace, "simulate", "engine", wid);
-        ProfScope sim_scope(prof, "engine.simulate");
-        sim_scope.items(count);
-        FmaBatchHooks bh;
-        bh.rm = cfg_.rm;
-        bh.events = ev;
-        bh.base_index = start;
-        if (cfg_.backend == EngineBackend::Sliced) {
-          unit->fma_ieee_batch(in_buf.data(), count, out, bh);
-        } else {
-          // Reference oracle: the base-class per-operation loop, bypassing
-          // any unit batch override.
-          unit->FmaUnit::fma_ieee_batch(in_buf.data(), count, out, bh);
-        }
-      }
-      const double secs =
-          std::chrono::duration<double>(clock::now() - t0).count();
-      ShardStats& st = shard_stats[(std::size_t)s];
-      st.start = start;
-      st.ops = count;
-      st.worker = wid;
-      st.seconds = secs;
-      st.ops_per_sec = safe_rate(count, secs);
-      worker_busy[(std::size_t)wid] += secs;
-      if (metrics != nullptr) {
-        m_ops->add(count);
-        m_shards->add(1);
-        m_shard_size->observe((double)count);
-        m_shard_secs->observe(secs);
-      }
-      if (consume != nullptr && *consume) {
-        const auto w0 = clock::now();
-        std::lock_guard<std::mutex> lock(consume_mu);
-        if (m_consume_wait != nullptr) {
-          m_consume_wait->observe(
-              std::chrono::duration<double>(clock::now() - w0).count());
-        }
-        TraceSpan consume_span(trace, "consume", "engine", wid);
-        ProfScope consume_scope(prof, "engine.consume");
-        consume_scope.items(count);
-        (*consume)(start, out, count);
-      }
-      done_shards.fetch_add(1, std::memory_order_relaxed);
-      done_ops.fetch_add(count, std::memory_order_relaxed);
-      gate.shard_done(count);
+void step_chain(FmaUnit& unit, const ChainedOp* chain, std::uint64_t begin,
+                std::uint64_t end, FmaOperand* natives, PFloat* results,
+                const FmaBatchHooks& hooks) {
+  for (std::uint64_t j = begin; j < end; ++j) {
+    const ChainedOp& op = chain[j];
+    CSFMA_CHECK(op.a_ref < (std::int64_t)j && op.c_ref < (std::int64_t)j);
+    if (hooks.events != nullptr) {
+      // Ref operands are stamped with the IEEE readout of the result they
+      // chain from (already lowered below).
+      const auto bits = [&](std::int64_t ref, const PFloat& v) {
+        return (ref >= 0 ? results[ref] : v).to_bits().lo64();
+      };
+      hooks.events->begin_op(hooks.base_index + j, bits(op.a_ref, op.a),
+                             op.b.to_bits().lo64(), bits(op.c_ref, op.c));
     }
-  };
-
-  if (nthreads <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve((std::size_t)(nthreads - 1));
-    for (int w = 1; w < nthreads; ++w) pool.emplace_back(worker, w);
-    worker(0);
-    for (auto& t : pool) t.join();
+    const FmaOperand a =
+        op.a_ref >= 0 ? natives[op.a_ref] : unit.lift(op.a);
+    const FmaOperand c =
+        op.c_ref >= 0 ? natives[op.c_ref] : unit.lift(op.c);
+    FmaOperand res = unit.fma(a, op.b, c);
+    results[j] = unit.lower(res, hooks.rm);
+    natives[j] = std::move(res);
   }
-  const double wall =
-      std::chrono::duration<double>(clock::now() - wall0).count();
-
-  // Merge in shard order: deterministic regardless of completion order.
-  {
-    TraceSpan merge_span(trace, "merge", "engine", 0);
-    merge_span.arg("shards", num_shards);
-    ProfScope merge_scope(profiler, "engine.merge");
-    merge_scope.items(num_shards);
-    for (const auto& rec : shard_recs) activity->merge_from(rec);
-    if (log_events && events != nullptr) {
-      *events = EventLog(cfg_.event_capacity);
-      for (const auto& log : shard_events) events->merge_from(log);
-    }
-  }
-  if (profiler != nullptr) {
-    for (const auto& p : shard_profs) profiler->merge_from(p);
-  }
-  gate.finish();
-  if (metrics != nullptr) {
-    // Utilization = simulate time / wall time per worker lane; Timing by
-    // definition (and the gauge names depend on the worker count).
-    for (int w = 0; w < nthreads; ++w) {
-      metrics
-          ->gauge("engine.worker." + std::to_string(w) + ".utilization",
-                  Stability::Timing)
-          .set(wall > 0.0 ? worker_busy[(std::size_t)w] / wall : 0.0);
-    }
-    metrics->gauge("engine.batch.seconds", Stability::Timing).set(wall);
-    metrics->gauge("engine.batch.ops_per_sec", Stability::Timing)
-        .set(safe_rate(n, wall));
-  }
-  stats->ops = n;
-  stats->seconds = wall;
-  stats->ops_per_sec = safe_rate(n, wall);
-  stats->ops_done = done_ops.load(std::memory_order_relaxed);
-  stats->aborted = done_shards.load(std::memory_order_relaxed) < num_shards;
-  stats->shards.assign(shard_stats.begin(), shard_stats.end());
 }
 
 BatchResult SimEngine::run_batch(const OperandSource& src) const {
   BatchResult r;
   r.results.resize((std::size_t)src.size());
-  run_shards(src, r.results.data(), nullptr, &r.activity, &r.events, &r.stats);
+  run_triples(cfg_, threads_, src, r.results.data(), nullptr, &r.activity,
+              &r.events, &r.stats);
   return r;
 }
 
@@ -355,160 +443,47 @@ BatchResult SimEngine::run_batch(const std::vector<OperandTriple>& ops) const {
 StreamResult SimEngine::run_stream(const OperandSource& src,
                                    const ConsumeFn& consume) const {
   StreamResult r;
-  run_shards(src, nullptr, &consume, &r.activity, &r.events, &r.stats);
+  run_triples(cfg_, threads_, src, nullptr, consume, &r.activity, &r.events,
+              &r.stats);
   return r;
 }
 
 BatchResult SimEngine::run_chained(const ChainSource& src) const {
-  using clock = std::chrono::steady_clock;
   const std::uint64_t chains = src.chains();
   const std::uint64_t opc = src.ops_per_chain();
   CSFMA_CHECK(opc >= 1);
-  const std::uint64_t n = chains * opc;
-
+  BatchResult r;
+  r.results.resize((std::size_t)(chains * opc));
   // Shard on CHAIN boundaries: operations within a chain depend on earlier
   // results, chains are independent.  The chains-per-shard count is a pure
   // function of shard_ops and the chain length — never of the thread count.
   const std::uint64_t chains_per_shard =
-      cfg_.shard_ops / opc > 0 ? cfg_.shard_ops / opc : 1;
-  const std::uint64_t num_shards =
-      chains == 0 ? 0 : (chains + chains_per_shard - 1) / chains_per_shard;
-
-  BatchResult r;
-  r.results.resize((std::size_t)n);
-  std::vector<ActivityRecorder> shard_recs((std::size_t)num_shards);
-  const bool log_events = cfg_.event_capacity > 0;
-  std::vector<EventLog> shard_events(
-      log_events ? (std::size_t)num_shards : 0, EventLog(cfg_.event_capacity));
-  std::vector<ShardStats> shard_stats((std::size_t)num_shards);
-  std::atomic<std::uint64_t> next_shard{0};
-  std::atomic<std::uint64_t> done_shards{0}, done_ops{0};
-  const std::atomic<bool>* abort = cfg_.abort;
-
-  Counter* m_ops = nullptr;
-  Counter* m_shards = nullptr;
-  if (cfg_.metrics != nullptr) {
-    m_ops = &cfg_.metrics->counter("engine.ops");
-    m_shards = &cfg_.metrics->counter("engine.shards");
-  }
-
-  const int nthreads =
-      (int)(num_shards < (std::uint64_t)threads_ ? num_shards
-                                                 : (std::uint64_t)threads_);
-
-  HostProfiler* profiler = cfg_.profiler;
-  std::deque<HostProfiler> shard_profs;
-  if (profiler != nullptr) {
-    for (std::uint64_t s = 0; s < num_shards; ++s)
-      shard_profs.emplace_back(profiler->hw_enabled());
-  }
-
-  const auto wall0 = clock::now();
-  ProgressGate gate(cfg_.progress, cfg_.progress_interval_s, n, num_shards,
-                    wall0);
-
-  auto worker = [&](int wid) {
-    std::vector<ChainedOp> chain_buf((std::size_t)opc);
-    std::vector<FmaOperand> natives((std::size_t)opc);
-    for (;;) {
-      if (abort != nullptr && abort->load(std::memory_order_relaxed)) break;
-      const std::uint64_t s = next_shard.fetch_add(1);
-      if (s >= num_shards) break;
-      const std::uint64_t g0 = s * chains_per_shard;
-      const std::uint64_t g1 =
-          g0 + chains_per_shard < chains ? g0 + chains_per_shard : chains;
-      HostProfiler* prof =
-          profiler != nullptr ? &shard_profs[(std::size_t)s] : nullptr;
-      ActivityRecorder& rec = shard_recs[(std::size_t)s];
-      EventLog* ev = log_events ? &shard_events[(std::size_t)s] : nullptr;
-      IntrospectHooks hooks;
-      hooks.events = ev;
-      auto unit =
-          make_fma_unit(cfg_.unit, &rec, ev != nullptr ? &hooks : nullptr);
-      const auto t0 = clock::now();
-      for (std::uint64_t g = g0; g < g1; ++g) {
+      std::max<std::uint64_t>(cfg_.shard_ops / opc, 1);
+  std::vector<std::vector<ChainedOp>> chain_bufs((std::size_t)threads_);
+  std::vector<std::vector<FmaOperand>> natives((std::size_t)threads_);
+  drive_shards(
+      cfg_, threads_, chains, chains_per_shard, opc,
+      [&](Shard& sh) {
+        std::vector<ChainedOp>& ops = chain_bufs[(std::size_t)sh.worker];
         {
-          ProfScope fill_scope(prof, "engine.fill");
-          fill_scope.items(opc);
-          src.fill_chain(g, chain_buf.data());
+          PhaseScope fill(sh.sinks, "fill", sh.ops);
+          ops.resize(sh.ops);
+          for (std::uint64_t off = 0; off < sh.ops; off += opc)
+            src.fill_chain((sh.start + off) / opc, ops.data() + off);
         }
-        ProfScope sim_scope(prof, "engine.simulate");
-        sim_scope.items(opc);
-        for (std::uint64_t j = 0; j < opc; ++j) {
-          const ChainedOp& op = chain_buf[(std::size_t)j];
-          const std::uint64_t idx = g * opc + j;
-          CSFMA_CHECK(op.a_ref < (std::int64_t)j && op.c_ref < (std::int64_t)j);
-          if (ev != nullptr) {
-            // Ref operands are stamped with the IEEE readout of the result
-            // they chain from (already lowered below).
-            const auto bits = [&](std::int64_t ref, const PFloat& v) {
-              return ref >= 0
-                         ? r.results[(std::size_t)(g * opc + (std::uint64_t)ref)]
-                               .to_bits()
-                               .lo64()
-                         : v.to_bits().lo64();
-            };
-            ev->begin_op(idx, bits(op.a_ref, op.a), op.b.to_bits().lo64(),
-                         bits(op.c_ref, op.c));
-          }
-          FmaOperand a = op.a_ref >= 0 ? natives[(std::size_t)op.a_ref]
-                                       : unit->lift(op.a);
-          FmaOperand c = op.c_ref >= 0 ? natives[(std::size_t)op.c_ref]
-                                       : unit->lift(op.c);
-          FmaOperand res = unit->fma(a, op.b, c);
-          r.results[(std::size_t)idx] = unit->lower(res, cfg_.rm);
-          natives[(std::size_t)j] = std::move(res);
+        std::vector<FmaOperand>& nat = natives[(std::size_t)sh.worker];
+        nat.resize((std::size_t)opc);
+        PhaseScope simulate(sh.sinks, "simulate", sh.ops, &sh.seconds);
+        FmaBatchHooks bh;
+        bh.rm = cfg_.rm;
+        bh.events = sh.events;
+        for (std::uint64_t off = 0; off < sh.ops; off += opc) {
+          bh.base_index = sh.start + off;
+          step_chain(*sh.unit, ops.data() + off, 0, opc, nat.data(),
+                     r.results.data() + bh.base_index, bh);
         }
-      }
-      const double secs =
-          std::chrono::duration<double>(clock::now() - t0).count();
-      ShardStats& st = shard_stats[(std::size_t)s];
-      st.start = g0 * opc;
-      st.ops = (g1 - g0) * opc;
-      st.worker = wid;
-      st.seconds = secs;
-      st.ops_per_sec = safe_rate(st.ops, secs);
-      if (m_ops != nullptr) {
-        m_ops->add(st.ops);
-        m_shards->add(1);
-      }
-      done_shards.fetch_add(1, std::memory_order_relaxed);
-      done_ops.fetch_add(st.ops, std::memory_order_relaxed);
-      gate.shard_done(st.ops);
-    }
-  };
-
-  if (nthreads <= 1) {
-    if (num_shards > 0) worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve((std::size_t)(nthreads - 1));
-    for (int w = 1; w < nthreads; ++w) pool.emplace_back(worker, w);
-    worker(0);
-    for (auto& t : pool) t.join();
-  }
-  const double wall =
-      std::chrono::duration<double>(clock::now() - wall0).count();
-
-  {
-    ProfScope merge_scope(profiler, "engine.merge");
-    merge_scope.items(num_shards);
-    for (const auto& rec : shard_recs) r.activity.merge_from(rec);
-    if (log_events) {
-      r.events = EventLog(cfg_.event_capacity);
-      for (const auto& log : shard_events) r.events.merge_from(log);
-    }
-  }
-  if (profiler != nullptr) {
-    for (const auto& p : shard_profs) profiler->merge_from(p);
-  }
-  gate.finish();
-  r.stats.ops = n;
-  r.stats.seconds = wall;
-  r.stats.ops_per_sec = safe_rate(n, wall);
-  r.stats.ops_done = done_ops.load(std::memory_order_relaxed);
-  r.stats.aborted = done_shards.load(std::memory_order_relaxed) < num_shards;
-  r.stats.shards.assign(shard_stats.begin(), shard_stats.end());
+      },
+      &r.activity, &r.events, &r.stats);
   return r;
 }
 

@@ -6,7 +6,9 @@
 // the one driver for that: it takes an operand stream (in-memory vector or
 // generated workload), selects a unit through the FmaUnit factory, shards
 // the stream across worker threads and merges per-shard switching activity
-// deterministically at the end.
+// deterministically at the end.  run_batch, run_stream and run_chained are
+// three bodies on one shard driver: one shard cut, one claim loop and one
+// merge, with the same telemetry for every entry point.
 //
 // Determinism model: the stream is cut into LOGICAL shards of a fixed size
 // (EngineConfig::shard_ops) that depends only on the data, never on the
@@ -131,6 +133,19 @@ class ChainSource {
   virtual void fill_chain(std::uint64_t chain, ChainedOp* out) const = 0;
 };
 
+/// Step operations [begin, end) of one chain on `unit`: lift the IEEE
+/// inputs, feed earlier NATIVE results forward through a_ref/c_ref, run
+/// the multiply-add and lower each result into results[j] with hooks.rm.
+/// natives[j] keeps op j's unlowered result for later refs, so `natives`
+/// and `results` must hold ops [0, end) of the chain.  With hooks.events
+/// set, op j is stamped as stream index hooks.base_index + j, and a ref
+/// operand as the IEEE readout of the result it chains from.
+/// SimEngine::run_chained and the --watch replay (engine/watch.hpp) both
+/// step chains through this.
+void step_chain(FmaUnit& unit, const ChainedOp* chain, std::uint64_t begin,
+                std::uint64_t end, FmaOperand* natives, PFloat* results,
+                const FmaBatchHooks& hooks);
+
 /// Heartbeat snapshot for long runs, handed to EngineConfig::progress.
 /// ops_per_sec and eta_seconds use safe_rate-style guards: they are 0
 /// until enough has happened to divide by.
@@ -169,8 +184,8 @@ struct EngineConfig {
   /// histogram (all Deterministic — thread-count invariant), plus
   /// engine.shard.seconds / engine.consume_wait.seconds histograms and
   /// engine.worker.<w>.utilization gauges (Timing).  Trace: per-shard
-  /// claim/fill/simulate/consume spans on the worker's lane and a final
-  /// merge span.
+  /// shard/fill/simulate/consume spans on the worker's lane and a final
+  /// merge span.  Chained runs report the same set.
   MetricsRegistry* metrics = nullptr;
   TraceSession* trace = nullptr;
   /// Host-performance profiler (telemetry/perf.hpp; not owned).  Each
@@ -208,7 +223,7 @@ struct ShardStats {
   std::uint64_t start = 0;  // index of the shard's first operation
   std::uint64_t ops = 0;
   int worker = 0;        // worker thread that simulated the shard
-  double seconds = 0.0;  // simulation time of this shard
+  double seconds = 0.0;  // the shard's simulate phase (no fill or consume)
   double ops_per_sec = 0.0;
 };
 
@@ -282,10 +297,6 @@ class SimEngine {
   BatchResult run_chained(const ChainSource& src) const;
 
  private:
-  void run_shards(const OperandSource& src, PFloat* results,
-                  const ConsumeFn* consume, ActivityRecorder* activity,
-                  EventLog* events, BatchStats* stats) const;
-
   EngineConfig cfg_;
   int threads_;
   bool threads_clamped_ = false;

@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "common/check.hpp"
-#include "introspect/event_log.hpp"
 #include "introspect/hooks.hpp"
 #include "introspect/signal_tap.hpp"
 
@@ -18,12 +17,13 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-/// Header comments describing the watched op: operands, result, events.
-void annotate(SignalTap& tap, const EventLog& events, std::uint64_t op,
-              std::uint64_t a, std::uint64_t b, std::uint64_t c,
-              const PFloat& r) {
-  tap.vcd().comment("watched op " + std::to_string(op) + ": a=" + hex64(a) +
-                    " b=" + hex64(b) + " c=" + hex64(c) +
+/// Header comments describing the watched op: the operands `events` was
+/// stamped with, the result and the op's events.
+void annotate(SignalTap& tap, const EventLog& events, const PFloat& r) {
+  const NumEvent& op = events.context();
+  tap.vcd().comment("watched op " + std::to_string(op.op) +
+                    ": a=" + hex64(op.a_bits) + " b=" + hex64(op.b_bits) +
+                    " c=" + hex64(op.c_bits) +
                     " r=" + hex64(r.to_bits().lo64()));
   for (const NumEvent& e : events.events()) {
     tap.vcd().comment(std::string("event ") + to_string(e.kind) +
@@ -64,27 +64,27 @@ WatchOptions extract_watch_args(int argc, char** argv) {
 }
 
 PFloat run_watched_op(const WatchOptions& opts, const OperandSource& src,
-                      Round rm) {
+                      Round rm, SignalTap* tap, EventLog* events) {
   CSFMA_CHECK(opts.enabled());
   CSFMA_CHECK_MSG(opts.watch_op < src.size(), "--watch index out of range");
   OperandTriple t;
   src.fill(opts.watch_op, &t, 1);
 
-  SignalTap tap(to_string(opts.unit));
-  EventLog events(64);
+  SignalTap own_tap(to_string(opts.unit));
+  EventLog own_events(64);
+  SignalTap& tp = tap != nullptr ? *tap : own_tap;
+  EventLog& ev = events != nullptr ? *events : own_events;
   IntrospectHooks hooks;
-  hooks.tap = &tap;
-  hooks.events = &events;
+  hooks.tap = &tp;
+  hooks.events = &ev;
   auto unit = make_fma_unit(opts.unit, nullptr, &hooks);
 
-  const std::uint64_t a = t.a.to_bits().lo64();
-  const std::uint64_t b = t.b.to_bits().lo64();
-  const std::uint64_t c = t.c.to_bits().lo64();
-  tap.begin_op(opts.watch_op);
-  events.begin_op(opts.watch_op, a, b, c);
+  tp.begin_op(opts.watch_op);
+  ev.begin_op(opts.watch_op, t.a.to_bits().lo64(), t.b.to_bits().lo64(),
+              t.c.to_bits().lo64());
   PFloat r = unit->fma_ieee(t.a, t.b, t.c, rm);
-  annotate(tap, events, opts.watch_op, a, b, c, r);
-  tap.write(opts.vcd_path);
+  annotate(tp, ev, r);
+  if (tap == nullptr) tp.write(opts.vcd_path);
   return r;
 }
 
@@ -99,6 +99,8 @@ PFloat run_watched_chained(const WatchOptions& opts, const ChainSource& src,
   const std::uint64_t jw = opts.watch_op % opc;
   std::vector<ChainedOp> ops((std::size_t)opc);
   src.fill_chain(g, ops.data());
+  std::vector<FmaOperand> natives((std::size_t)opc);
+  std::vector<PFloat> results((std::size_t)opc);
 
   SignalTap tap(to_string(opts.unit));
   EventLog events(64);
@@ -106,32 +108,19 @@ PFloat run_watched_chained(const WatchOptions& opts, const ChainSource& src,
   // the watched op — the documented flip-between-ops pattern.
   IntrospectHooks hooks;
   auto unit = make_fma_unit(opts.unit, nullptr, &hooks);
-
-  std::vector<FmaOperand> natives((std::size_t)opc);
-  PFloat watched;
-  for (std::uint64_t j = 0; j <= jw; ++j) {
-    const ChainedOp& op = ops[(std::size_t)j];
-    CSFMA_CHECK(op.a_ref < (std::int64_t)j && op.c_ref < (std::int64_t)j);
-    if (j == jw) {
-      hooks.tap = &tap;
-      hooks.events = &events;
-      tap.begin_op(opts.watch_op);
-      events.begin_op(opts.watch_op, op.a.to_bits().lo64(),
-                      op.b.to_bits().lo64(), op.c.to_bits().lo64());
-    }
-    FmaOperand a =
-        op.a_ref >= 0 ? natives[(std::size_t)op.a_ref] : unit->lift(op.a);
-    FmaOperand c =
-        op.c_ref >= 0 ? natives[(std::size_t)op.c_ref] : unit->lift(op.c);
-    FmaOperand res = unit->fma(a, op.b, c);
-    if (j == jw) watched = unit->lower(res, rm);
-    natives[(std::size_t)j] = std::move(res);
-  }
-  annotate(tap, events, opts.watch_op, ops[(std::size_t)jw].a.to_bits().lo64(),
-           ops[(std::size_t)jw].b.to_bits().lo64(),
-           ops[(std::size_t)jw].c.to_bits().lo64(), watched);
+  FmaBatchHooks bh;
+  bh.rm = rm;
+  bh.base_index = g * opc;
+  step_chain(*unit, ops.data(), 0, jw, natives.data(), results.data(), bh);
+  hooks.tap = &tap;
+  hooks.events = &events;
+  bh.events = &events;
+  tap.begin_op(opts.watch_op);
+  step_chain(*unit, ops.data(), jw, jw + 1, natives.data(), results.data(),
+             bh);
+  annotate(tap, events, results[(std::size_t)jw]);
   tap.write(opts.vcd_path);
-  return watched;
+  return results[(std::size_t)jw];
 }
 
 }  // namespace csfma

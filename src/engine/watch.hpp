@@ -1,12 +1,11 @@
-// `--vcd <file> --watch <op-index>` support for the unit benches.
+// `--vcd <file> --watch <op-index>` support (fig13_latency's flags).
 //
-// Every bench that pushes an operand stream through a unit can offer
-// signal-level introspection of ONE operation of that stream: the selected
-// op is re-simulated on a fresh unit instance with a SignalTap and an
-// EventLog attached, and the captured waveform is written as a VCD file
-// (docs/observability.md has the GTKWave quick-start).  Because operand
-// sources are pure functions of the index, the watched op is bit-identical
-// to the one the batch run simulated.
+// Signal-level introspection of ONE operation of an operand stream: the
+// selected op is re-simulated on a fresh unit instance with a SignalTap
+// and an EventLog attached, and the captured waveform is written as a VCD
+// file (docs/observability.md has the GTKWave quick-start).  Because
+// operand sources are pure functions of the index, the watched op is
+// bit-identical to the one the engine simulated.
 #pragma once
 
 #include <cstdint>
@@ -35,15 +34,18 @@ WatchOptions extract_watch_args(int argc, char** argv);
 
 /// Simulate operation `opts.watch_op` of `src` on a fresh unit of kind
 /// `opts.unit` with a SignalTap + EventLog attached, and write the VCD to
-/// `opts.vcd_path`.  Any events the op raised are embedded as header
-/// comments.  Returns the op's IEEE result.
+/// `opts.vcd_path`.  The op's operands, result and any events it raised
+/// are embedded as header comments.  Returns the op's IEEE result.  A
+/// caller that passes its own `tap` (to trace more behind the op) writes
+/// it itself; `events`, when given, is the log the op records into.
 PFloat run_watched_op(const WatchOptions& opts, const OperandSource& src,
-                      Round rm = Round::NearestEven);
+                      Round rm = Round::NearestEven, SignalTap* tap = nullptr,
+                      EventLog* events = nullptr);
 
 /// Chained-stream variant: re-simulates the chain containing
-/// `opts.watch_op` (operands may be native results of earlier chain ops)
-/// and records ONLY the watched operation's cycles.  Returns the watched
-/// op's IEEE readout.
+/// `opts.watch_op` through step_chain, as run_chained does (operands may
+/// be native results of earlier chain ops), and records ONLY the watched
+/// operation's cycles.  Returns the watched op's IEEE readout.
 PFloat run_watched_chained(const WatchOptions& opts, const ChainSource& src,
                            Round rm = Round::NearestEven);
 

@@ -26,12 +26,8 @@ void EventLog::raise(EventKind kind, std::int64_t detail) {
   ++raised_;
   if (capacity_ == 0) return;
   if (ring_.size() == capacity_) ring_.pop_front();
-  NumEvent e;
+  NumEvent e = ctx_;
   e.kind = kind;
-  e.op = op_;
-  e.a_bits = a_bits_;
-  e.b_bits = b_bits_;
-  e.c_bits = c_bits_;
   e.detail = detail;
   ring_.push_back(e);
 }
@@ -76,7 +72,7 @@ std::string EventLog::to_json() const {
 void EventLog::reset() {
   ring_.clear();
   raised_ = 0;
-  op_ = a_bits_ = b_bits_ = c_bits_ = 0;
+  ctx_ = NumEvent{};
 }
 
 }  // namespace csfma

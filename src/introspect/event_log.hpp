@@ -49,11 +49,14 @@ class EventLog {
   /// Called by the engine (or a bench loop) before each operation.
   void begin_op(std::uint64_t op, std::uint64_t a_bits, std::uint64_t b_bits,
                 std::uint64_t c_bits) {
-    op_ = op;
-    a_bits_ = a_bits;
-    b_bits_ = b_bits;
-    c_bits_ = c_bits;
+    ctx_.op = op;
+    ctx_.a_bits = a_bits;
+    ctx_.b_bits = b_bits;
+    ctx_.c_bits = c_bits;
   }
+  /// The context the last begin_op set (op index and operand bits; kind
+  /// and detail are unset).
+  const NumEvent& context() const { return ctx_; }
 
   /// Raise an event with the current operation context.
   void raise(EventKind kind, std::int64_t detail = 0);
@@ -79,7 +82,7 @@ class EventLog {
   std::size_t capacity_;
   std::deque<NumEvent> ring_;
   std::uint64_t raised_ = 0;
-  std::uint64_t op_ = 0, a_bits_ = 0, b_bits_ = 0, c_bits_ = 0;
+  NumEvent ctx_;
 };
 
 }  // namespace csfma

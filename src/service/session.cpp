@@ -764,8 +764,8 @@ bool ServiceSession::simulate(const SubmitRequest& req,
   ecfg.shard_ops = req.shard_ops;
   ecfg.abort = &job.abort;
   // Engine shard spans land in the same trace session, so a request's
-  // engine-run span decomposes into the engine's claim/fill/simulate/
-  // consume timeline in one chrome://tracing view.
+  // engine-run span decomposes into the engine's shard/fill/simulate/
+  // consume/merge timeline (chained jobs too) in one chrome://tracing view.
   ecfg.trace = cfg_.trace;
   ecfg.progress_interval_s = cfg_.progress_interval_s;
   ecfg.progress = [this, &job, base_ops](const EngineProgress& p) {

@@ -2,6 +2,7 @@
 
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -96,7 +97,14 @@ int Listener::accept_conn() {
   for (;;) {
     if (stopped_.load(std::memory_order_relaxed)) return -1;
     const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) return fd;
+    if (fd >= 0) {
+      // Replies are small multi-line bursts: without TCP_NODELAY the second
+      // line waits for the client's delayed ACK (~40 ms).
+      const int one = 1;
+      if (port_ != 0)
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      return fd;
+    }
     if (errno == EINTR) continue;
     return -1;
   }

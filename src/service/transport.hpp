@@ -85,6 +85,7 @@ class Listener {
   int port() const { return port_; }
 
   /// Block for the next connection; -1 after stop() or on a fatal error.
+  /// TCP connections come back with TCP_NODELAY set.
   int accept_conn();
   /// Unblock accept_conn() and make it return -1 from now on.
   void stop();

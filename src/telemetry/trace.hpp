@@ -4,8 +4,9 @@
 // duration, args) from any thread and serializes them to the Trace Event
 // Format that chrome://tracing and Perfetto load directly — the software
 // equivalent of the waveform views the paper's ISim/XPower flow provides
-// for hardware.  The engine emits per-shard claim/fill/simulate/consume
-// spans, the HLS flow emits lex/parse/schedule/interp phase spans.
+// for hardware.  The engine emits per-shard shard/fill/simulate/consume
+// spans and a merge span, the HLS flow emits lex/parse/schedule/interp
+// phase spans.
 //
 // Cost model: every emission point takes a `TraceSession*` and does nothing
 // but a null check when tracing is off; TraceSpan reads no clock unless a

@@ -195,42 +195,68 @@ std::string deterministic_json(const MetricsRegistry& reg) {
 
 // The telemetry face of the determinism contract: exported Deterministic
 // metrics are byte-identical JSON for 1 worker and 4 workers on the same
-// seed, and both runs also export *some* Timing entries (which are
-// compared by presence only).
+// seed, for batch and chained runs alike, and both runs also export
+// *some* Timing entries (which are compared by presence only).
 TEST(SimEngine, TelemetryMetricsAreThreadCountInvariant) {
-  auto run = [](int threads, MetricsRegistry& reg) {
-    RandomTripleSource src(42, 3000);
+  RandomTripleSource src(42, 3000);
+  // 30 chains of 36 ops, 7 chains per 256-op shard.
+  RecurrenceChainSource chains(recurrence_inputs(42, 30), 20);
+  auto run = [&](bool chained, int threads, MetricsRegistry& reg) {
     EngineConfig cfg = config(UnitKind::Pcs, threads, 256);
     cfg.metrics = &reg;
     SimEngine engine(cfg);
-    return engine.run_batch(src);
+    if (chained) {
+      engine.run_chained(chains);
+    } else {
+      engine.run_batch(src);
+    }
   };
-  MetricsRegistry reg1, reg4;
-  run(1, reg1);
-  run(4, reg4);
-  EXPECT_EQ(deterministic_json(reg1), deterministic_json(reg4));
-  EXPECT_EQ(reg1.counter("engine.ops").value(), 3000u);
-  EXPECT_EQ(reg1.counter("engine.shards").value(), 12u);  // ceil(3000/256)
-  // Timing metrics exist in both but are not compared for equality.
-  EXPECT_TRUE(reg1.gauge("engine.batch.seconds", Stability::Timing).is_set());
-  EXPECT_TRUE(reg4.gauge("engine.batch.seconds", Stability::Timing).is_set());
+  struct Case {
+    bool chained;
+    std::uint64_t ops, shards;
+  };
+  for (const Case& c : {Case{false, 3000, 12},  // ceil(3000/256)
+                        Case{true, 30 * 36, 5}}) {  // ceil(30/7)
+    MetricsRegistry reg1, reg4;
+    run(c.chained, 1, reg1);
+    run(c.chained, 4, reg4);
+    EXPECT_EQ(deterministic_json(reg1), deterministic_json(reg4)) << c.chained;
+    EXPECT_NE(deterministic_json(reg1).find("\"engine.shard.ops\""),
+              std::string::npos)
+        << c.chained;
+    EXPECT_EQ(reg1.counter("engine.ops").value(), c.ops) << c.chained;
+    EXPECT_EQ(reg1.counter("engine.shards").value(), c.shards) << c.chained;
+    // Timing metrics exist in both but are not compared for equality.
+    EXPECT_TRUE(reg1.gauge("engine.batch.seconds", Stability::Timing).is_set());
+    EXPECT_TRUE(reg4.gauge("engine.batch.seconds", Stability::Timing).is_set());
+  }
 }
 
+// Batch and chained runs emit the same spans: shard, fill and simulate once
+// per shard, then one merge.
 TEST(SimEngine, TraceSessionRecordsShardAndMergeSpans) {
-  RandomTripleSource src(7, 600);
-  TraceSession trace;
-  EngineConfig cfg = config(UnitKind::Fcs, 2, 256);
-  cfg.trace = &trace;
-  SimEngine engine(cfg);
-  engine.run_batch(src);
-  std::map<std::string, int> names;
-  for (const auto& e : trace.events()) names[e.name] += 1;
-  EXPECT_EQ(names["shard"], 3);  // ceil(600/256)
-  EXPECT_EQ(names["fill"], 3);
-  EXPECT_EQ(names["simulate"], 3);
-  EXPECT_EQ(names["merge"], 1);
-  // The export is well-formed chrome://tracing JSON.
-  EXPECT_NE(trace.to_json().find("\"traceEvents\":["), std::string::npos);
+  RandomTripleSource src(7, 600);  // ceil(600/256) = 3 shards
+  // 21 chains of 36 ops, 7 chains per 256-op shard: 3 shards.
+  RecurrenceChainSource chains(recurrence_inputs(7, 21), 20);
+  for (bool chained : {false, true}) {
+    TraceSession trace;
+    EngineConfig cfg = config(UnitKind::Fcs, 2, 256);
+    cfg.trace = &trace;
+    SimEngine engine(cfg);
+    if (chained) {
+      engine.run_chained(chains);
+    } else {
+      engine.run_batch(src);
+    }
+    std::map<std::string, int> names;
+    for (const auto& e : trace.events()) names[e.name] += 1;
+    EXPECT_EQ(names["shard"], 3) << chained;
+    EXPECT_EQ(names["fill"], 3) << chained;
+    EXPECT_EQ(names["simulate"], 3) << chained;
+    EXPECT_EQ(names["merge"], 1) << chained;
+    // The export is well-formed chrome://tracing JSON.
+    EXPECT_NE(trace.to_json().find("\"traceEvents\":["), std::string::npos);
+  }
 }
 
 TEST(SimEngine, TelemetryOffByDefault) {

@@ -4,8 +4,11 @@
 // --vcd/--watch re-simulation path.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "energy/workload.hpp"
 #include "engine/sim_engine.hpp"
@@ -148,6 +151,31 @@ TEST(IntrospectIntegration, WatchedChainedOpMatchesEngineReadout) {
   const PFloat got =
       run_watched_chained(opts, src, Round::HalfAwayFromZero);
   EXPECT_TRUE(PFloat::same_value(got, r.results[opts.watch_op]));
+
+  // The header comment stamps A and C with the IEEE readouts of the ops
+  // they chain from, as the engine's event log does.
+  const std::uint64_t opc = src.ops_per_chain();
+  std::vector<ChainedOp> chain((std::size_t)opc);
+  src.fill_chain(1, chain.data());
+  const ChainedOp& op = chain[(std::size_t)(opc - 1)];
+  ASSERT_GE(op.a_ref, 0);
+  ASSERT_GE(op.c_ref, 0);
+  const auto hex = [](const PFloat& v) {
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  (unsigned long long)v.to_bits().lo64());
+    return std::string(buf);
+  };
+  std::ifstream f(opts.vcd_path);
+  ASSERT_TRUE(f.good());
+  std::stringstream ss;
+  ss << f.rdbuf();
+  const std::string want =
+      "watched op " + std::to_string(opts.watch_op) +
+      ": a=" + hex(r.results[(std::size_t)(opc + op.a_ref)]) +
+      " b=" + hex(op.b) +
+      " c=" + hex(r.results[(std::size_t)(opc + op.c_ref)]) + " r=" + hex(got);
+  EXPECT_NE(ss.str().find(want), std::string::npos) << want;
 }
 
 TEST(IntrospectIntegration, ExtractWatchArgsLeavesOtherArgs) {

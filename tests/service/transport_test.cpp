@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -197,6 +198,22 @@ TEST_F(TransportTest, ListenTcpBindsEphemeralPortAndReportsIt) {
   EXPECT_GT(listener->port(), 0);
   EXPECT_NE(listener->where().find(std::to_string(listener->port())),
             std::string::npos);
+}
+
+// Multi-line replies must not wait for the client's delayed ACK.
+TEST_F(TransportTest, AcceptedTcpConnectionsSetNoDelay) {
+  std::string err;
+  auto listener = listen_tcp("127.0.0.1:0", &err);
+  ASSERT_NE(listener, nullptr) << err;
+  const int client = connect_tcp_client(listener->port());
+  const int fd = listener->accept_conn();
+  ASSERT_GE(fd, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof nodelay;
+  ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_NE(nodelay, 0);
+  ::close(fd);
+  ::close(client);
 }
 
 TEST_F(TransportTest, ListenTcpRejectsGarbageSpecs) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "energy/workload.hpp"
 #include "engine/sim_engine.hpp"
 #include "harness.hpp"
 #include "telemetry/perf.hpp"
@@ -105,9 +106,12 @@ TEST(HostProfiler, MergeFoldsByName) {
 
 /// Scope structure and the Deterministic fields (calls, items) of the
 /// engine's per-shard profilers, merged shard-in-order, must not depend
-/// on the worker thread count; only the nanosecond fields may.
+/// on the worker thread count, for streamed and chained runs alike; only
+/// the nanosecond fields may.
 TEST(HostProfiler, EngineMergeIsThreadCountInvariant) {
-  auto run = [](int threads) {
+  // 40 chains of 36 ops, 13 chains per 500-op shard: 4 shards.
+  RecurrenceChainSource chains(recurrence_inputs(42, 40), 20);
+  auto run = [&](bool chained, int threads) {
     HostProfiler prof(false);
     RandomTripleSource src(42, 4000);
     EngineConfig cfg;
@@ -116,26 +120,36 @@ TEST(HostProfiler, EngineMergeIsThreadCountInvariant) {
     cfg.shard_ops = 500;  // 8 shards
     cfg.profiler = &prof;
     SimEngine engine(cfg);
-    // run_stream so the consume path is instrumented too (run_batch has
-    // no consume callback and therefore no engine.consume scope).
-    (void)engine.run_stream(
-        src, [](std::uint64_t, const PFloat*, std::size_t) {});
+    if (chained) {
+      (void)engine.run_chained(chains);
+    } else {
+      // run_stream so the consume path is instrumented too (run_batch has
+      // no consume callback and therefore no engine.consume scope).
+      (void)engine.run_stream(
+          src, [](std::uint64_t, const PFloat*, std::size_t) {});
+    }
     return prof.snapshot();
   };
-  auto one = run(1), four = run(4);
-  ASSERT_EQ(one.size(), four.size());
-  for (const auto& [name, s1] : one) {
-    ASSERT_EQ(four.count(name), 1u) << name;
-    EXPECT_EQ(s1.calls, four[name].calls) << name;
-    EXPECT_EQ(s1.items, four[name].items) << name;
+  struct Case {
+    bool chained;
+    std::uint64_t ops, shards;
+  };
+  for (const Case& c : {Case{false, 4000, 8}, Case{true, 40 * 36, 4}}) {
+    auto one = run(c.chained, 1), four = run(c.chained, 4);
+    ASSERT_EQ(one.size(), four.size()) << c.chained;
+    for (const auto& [name, s1] : one) {
+      ASSERT_EQ(four.count(name), 1u) << name;
+      EXPECT_EQ(s1.calls, four[name].calls) << name;
+      EXPECT_EQ(s1.items, four[name].items) << name;
+    }
+    // The instrumented hot paths are all present and attribute every op.
+    ASSERT_EQ(one.count("engine.simulate"), 1u) << c.chained;
+    EXPECT_EQ(one["engine.simulate"].items, c.ops) << c.chained;
+    EXPECT_EQ(one["engine.simulate"].calls, c.shards) << c.chained;
+    EXPECT_EQ(one.count("engine.fill"), 1u) << c.chained;
+    EXPECT_EQ(one.count("engine.consume"), c.chained ? 0u : 1u);
+    EXPECT_EQ(one.count("engine.merge"), 1u) << c.chained;
   }
-  // The instrumented hot paths are all present and attribute every op.
-  ASSERT_EQ(one.count("engine.simulate"), 1u);
-  EXPECT_EQ(one["engine.simulate"].items, 4000u);
-  EXPECT_EQ(one["engine.simulate"].calls, 8u);
-  EXPECT_EQ(one.count("engine.fill"), 1u);
-  EXPECT_EQ(one.count("engine.consume"), 1u);
-  EXPECT_EQ(one.count("engine.merge"), 1u);
 }
 
 // ------------------------------------------------------------- progress

@@ -43,6 +43,8 @@
 // digest must match the server's sweep_done digest.
 
 #include <netdb.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -560,7 +562,13 @@ int connect_tcp(const std::string& host_port, std::string* err) {
     fd = -1;
   }
   freeaddrinfo(res);
-  if (fd < 0) *err = "cannot connect to " + host_port;
+  if (fd < 0) {
+    *err = "cannot connect to " + host_port;
+    return -1;
+  }
+  // Requests are single small lines; do not hold them back for an ACK.
+  const int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   return fd;
 }
 
