@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "energy/energy_model.hpp"
-#include "energy/workload.hpp"
 #include "fpga/architectures.hpp"
 #include "harness.hpp"
 #include "telemetry/json.hpp"
@@ -16,25 +15,24 @@ int main(int argc, char** argv) {
   using namespace csfma;
   const HarnessOptions hopts = extract_harness_args(argc, argv);
   const ReportCliArgs out_paths = extract_report_args(argc, argv);
-  const int runs = 20, depth = 50;  // the paper's benchmark size
-  const std::uint64_t seed = 1001;
   BenchHarness harness("table2_energy", hopts);
-  // 2 multiply-adds per recurrence step, depth-2 steps per run.
-  const std::uint64_t ops_per_rep =
-      (std::uint64_t)runs * 2u * (std::uint64_t)(depth - 2);
-  ActivityMeasurement disc, classic, pcs, fcs;
-  harness.measure(
-      "measure.discrete", [&] { disc = measure_discrete(seed, runs, depth); },
-      ops_per_rep);
-  harness.measure(
-      "measure.classic", [&] { classic = measure_classic(seed, runs, depth); },
-      ops_per_rep);
-  harness.measure(
-      "measure.pcs", [&] { pcs = measure_pcs(seed, runs, depth); },
-      ops_per_rep);
-  harness.measure(
-      "measure.fcs", [&] { fcs = measure_fcs(seed, runs, depth); },
-      ops_per_rep);
+  const auto measure = [&harness](const char* phase, UnitKind kind) {
+    const UnitFactory make_unit = [kind](ActivityRecorder* rec) {
+      return make_fma_unit(kind, rec);
+    };
+    ActivityMeasurement m;
+    harness.measure(
+        phase,
+        [&] { m = measure_recurrence(make_unit, kTableIISeed, kTableIIOps); },
+        kTableIIOps);
+    return m;
+  };
+  const ActivityMeasurement disc =
+      measure("measure.discrete", UnitKind::Discrete);
+  const ActivityMeasurement classic =
+      measure("measure.classic", UnitKind::Classic);
+  const ActivityMeasurement pcs = measure("measure.pcs", UnitKind::Pcs);
+  const ActivityMeasurement fcs = measure("measure.fcs", UnitKind::Fcs);
 
   auto t1 = table1_reports(virtex6(), 200.0);
   auto luts = [&t1](const char* n) {
@@ -45,8 +43,7 @@ int main(int argc, char** argv) {
   const int l_x = luts("Xilinx CoreGen"), l_f = luts("FloPoCo FPPipeline"),
             l_p = luts("PCS-FMA"), l_c = luts("FCS-FMA");
 
-  EnergyCoefficients k =
-      calibrate(disc.toggles_per_op, l_x, 0.54, pcs.toggles_per_op, l_p, 2.67);
+  const EnergyCoefficients& k = energy_coefficients();
 
   std::printf("Table II — average energy per multiply-add (nJ)\n");
   std::printf("calibration: alpha=%.3e nJ/toggle  beta=%.3e nJ/LUT "
@@ -107,9 +104,9 @@ int main(int argc, char** argv) {
 
   if (!out_paths.json_path.empty() || !out_paths.csv_path.empty()) {
     Report report("table2_energy");
-    report.meta("seed", seed);
-    report.meta("runs", runs);
-    report.meta("depth", depth);
+    report.meta("seed", kTableIISeed);
+    report.meta("runs", kTableIIChains);
+    report.meta("depth", kRecurrenceDepth);
     report.meta("anchors", "Xilinx=0.54nJ PCS=2.67nJ");
     report.metric("calibration.alpha_nj_per_toggle", k.alpha_nj_per_toggle);
     report.metric("calibration.beta_nj_per_lut", k.beta_nj_per_lut);

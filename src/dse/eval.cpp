@@ -1,72 +1,9 @@
 #include "dse/eval.hpp"
 
-#include <cstddef>
-
-#include "common/activity.hpp"
 #include "energy/energy_model.hpp"
-#include "energy/workload.hpp"
 #include "fpga/architectures.hpp"
 
 namespace csfma::dse {
-
-namespace {
-
-/// Toggles per multiply-add of the configured unit on the Sec. IV-B
-/// recurrence stream (cfg.ops operations, IEEE boundaries).  PCS points
-/// simulate their own (block, group) geometry and count its CS adder
-/// stage only; FCS points simulate the paper's 29-digit geometry with the
-/// configured select (the FCS block knob is modelled, not simulated).
-/// Pure in (unit, geometry, select, rm, seed, ops).
-double measure_model_toggles(const DseConfig& cfg) {
-  const int runs =
-      static_cast<int>((cfg.ops + 31) / 32);  // 32 triples per depth-18 run
-  RecurrenceSource src(cfg.seed, runs, 18);
-  std::vector<OperandTriple> ops(cfg.ops);
-  src.fill(0, ops.data(), ops.size());
-
-  ActivityRecorder rec;
-  std::unique_ptr<FmaUnit> unit;
-  switch (cfg.unit) {
-    case UnitKind::Pcs:
-      unit = make_cs_unit(CsGeometry::pcs(cfg.block, cfg.group), &rec);
-      break;
-    case UnitKind::Fcs:
-      unit = make_cs_unit(CsGeometry::fcs(cfg.select), &rec);
-      break;
-    default:
-      unit = make_fma_unit(cfg.unit, &rec);
-      break;
-  }
-  std::vector<PFloat> out(ops.size());
-  FmaBatchHooks hooks;
-  hooks.rm = cfg.rm;
-  unit->fma_ieee_batch(ops.data(), ops.size(), out.data(), hooks);
-  const std::uint64_t toggles = cfg.unit == UnitKind::Pcs
-                                    ? rec.stage_totals()["add"].toggles
-                                    : rec.total_toggles();
-  return static_cast<double>(toggles) / static_cast<double>(cfg.ops);
-}
-
-/// (alpha, beta) calibrated once against the Table II anchors — the
-/// discrete CoreGen pair at 0.54 nJ and the paper-geometry PCS-FMA at
-/// 2.67 nJ — with toggles and LUTs taken from THIS model at its default
-/// workload, so every point's energy is consistent with the anchors.
-const EnergyCoefficients& model_coefficients() {
-  static const EnergyCoefficients k = [] {
-    const Device dev = virtex6();
-    DseConfig a;
-    a.unit = UnitKind::Discrete;
-    DseConfig b;
-    b.unit = UnitKind::Pcs;
-    return calibrate(measure_model_toggles(a),
-                     total_area(build_model_chain(a, dev)).luts, 0.54,
-                     measure_model_toggles(b),
-                     total_area(build_model_chain(b, dev)).luts, 2.67);
-  }();
-  return k;
-}
-
-}  // namespace
 
 std::vector<Component> build_model_chain(const DseConfig& cfg,
                                          const Device& dev) {
@@ -121,9 +58,24 @@ DseMetrics eval_design(const DseConfig& cfg) {
   m.delay_ns = p.cycles * 1000.0 / p.fmax_mhz;
   m.luts = area.luts;
   m.dsps = area.dsps;
-  m.toggles_per_op = measure_model_toggles(cfg);
+  // Every stage's toggles on the Sec. IV-B recurrence.  PCS points simulate
+  // their own (block, group) geometry; FCS points the paper's 29-digit
+  // geometry with the configured select (the FCS block knob scales the
+  // area model only).
+  const UnitFactory make_unit = [&cfg](ActivityRecorder* rec) {
+    switch (cfg.unit) {
+      case UnitKind::Pcs:
+        return make_cs_unit(CsGeometry::pcs(cfg.block, cfg.group), rec);
+      case UnitKind::Fcs:
+        return make_cs_unit(CsGeometry::fcs(cfg.select), rec);
+      default:
+        return make_fma_unit(cfg.unit, rec);
+    }
+  };
+  m.toggles_per_op =
+      measure_recurrence(make_unit, cfg.seed, cfg.ops).toggles_per_op;
   m.energy_nj =
-      energy_per_op_nj(model_coefficients(), m.toggles_per_op, m.luts);
+      energy_per_op_nj(energy_coefficients(), m.toggles_per_op, m.luts);
   return m;
 }
 

@@ -1,15 +1,9 @@
 #include "energy/energy_model.hpp"
 
 #include "common/check.hpp"
+#include "fpga/architectures.hpp"
 
 namespace csfma {
-
-double toggles_per_op(const ActivityRecorder& rec, std::uint64_t ops) {
-  CSFMA_CHECK(ops > 0);
-  std::uint64_t total = 0;
-  for (const auto& [name, probe] : rec.probes()) total += probe.toggles();
-  return (double)total / (double)ops;
-}
 
 EnergyCoefficients calibrate(double toggles_a, int luts_a, double energy_a_nj,
                              double toggles_b, int luts_b, double energy_b_nj) {
@@ -21,6 +15,26 @@ EnergyCoefficients calibrate(double toggles_a, int luts_a, double energy_a_nj,
   EnergyCoefficients k;
   k.alpha_nj_per_toggle = (energy_a_nj * luts_b - energy_b_nj * luts_a) / det;
   k.beta_nj_per_lut = (toggles_a * energy_b_nj - toggles_b * energy_a_nj) / det;
+  return k;
+}
+
+const EnergyCoefficients& energy_coefficients() {
+  static const EnergyCoefficients k = [] {
+    const Device dev = virtex6();
+    const auto toggles = [](UnitKind kind) {
+      return measure_recurrence(
+                 [kind](ActivityRecorder* rec) {
+                   return make_fma_unit(kind, rec);
+                 },
+                 kTableIISeed, kTableIIOps)
+          .toggles_per_op;
+    };
+    return calibrate(toggles(UnitKind::Discrete),
+                     total_area(build_coregen_mul(dev)).luts +
+                         total_area(build_coregen_add(dev)).luts,
+                     0.54, toggles(UnitKind::Pcs),
+                     total_area(build_pcs_fma(dev)).luts, 2.67);
+  }();
   return k;
 }
 

@@ -1,8 +1,9 @@
 #include "energy/workload.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "energy/energy_model.hpp"
 
 namespace csfma {
 
@@ -22,8 +23,7 @@ RecurrenceInputs random_inputs(Rng& rng) {
 ActivityMeasurement reduce(const ActivityRecorder& rec, std::uint64_t ops) {
   ActivityMeasurement m;
   m.ops = ops;
-  if (ops == 0) return m;
-  m.toggles_per_op = toggles_per_op(rec, ops);
+  m.toggles_per_op = (double)rec.total_toggles() / (double)ops;
   for (const auto& [name, probe] : rec.probes())
     m.by_component[name] = (double)probe.toggles() / (double)ops;
   for (const auto& [stage, totals] : rec.stage_totals()) {
@@ -75,88 +75,24 @@ void RecurrenceChainSource::fill_chain(std::uint64_t chain,
   }
 }
 
-ActivityMeasurement measure_chained(UnitKind kind, std::uint64_t seed,
-                                    int runs, int depth, int threads) {
-  RecurrenceChainSource src(recurrence_inputs(seed, runs), depth);
-  EngineConfig cfg;
-  cfg.unit = kind;
-  cfg.threads = threads;
-  cfg.rm = Round::NearestEven;
-  SimEngine engine(cfg);
-  BatchResult r = engine.run_chained(src);
-  return reduce(r.activity, r.stats.ops);
-}
-
-ActivityMeasurement measure_discrete(std::uint64_t seed, int runs, int depth) {
-  return measure_chained(UnitKind::Discrete, seed, runs, depth);
-}
-
-ActivityMeasurement measure_classic(std::uint64_t seed, int runs, int depth) {
-  return measure_chained(UnitKind::Classic, seed, runs, depth);
-}
-
-ActivityMeasurement measure_pcs(std::uint64_t seed, int runs, int depth) {
-  return measure_chained(UnitKind::Pcs, seed, runs, depth);
-}
-
-ActivityMeasurement measure_fcs(std::uint64_t seed, int runs, int depth) {
-  return measure_chained(UnitKind::Fcs, seed, runs, depth);
-}
-
-RecurrenceSource::RecurrenceSource(std::uint64_t seed, int runs, int depth)
-    : seed_(seed), runs_(runs), depth_(depth) {
-  CSFMA_CHECK(runs >= 0 && depth >= 3);
-}
-
-std::uint64_t RecurrenceSource::size() const {
-  return (std::uint64_t)runs_ * ops_per_run();
-}
-
-void RecurrenceSource::fill(std::uint64_t start, OperandTriple* out,
-                            std::size_t n) const {
-  CSFMA_CHECK(start + n <= size());
-  const std::uint64_t per_run = ops_per_run();
-  std::uint64_t idx = start;
-  std::size_t filled = 0;
-  while (filled < n) {
-    const std::uint64_t run = idx / per_run;
-    // Replay run `run` from its start, emitting the triples that fall into
-    // [start, start+n).  Each run is seeded independently of the others.
-    Rng rng(seed_ ^ ((run + 1) * 0x9e3779b97f4a7c15ULL));
-    RecurrenceInputs in = random_inputs(rng);
-    PFloat x3 = in.x[0], x2 = in.x[1], x1 = in.x[2];
-    std::uint64_t op = run * per_run;  // stream index of the run's next op
-    for (int i = 3; i <= depth_ && filled < n; ++i) {
-      // Step i issues two multiply-adds; operand values follow the
-      // discrete pipeline (each mul and add fully rounded).
-      const PFloat t = PFloat::add(
-          PFloat::mul(in.b2, x2, kBinary64, Round::NearestEven), x3, kBinary64,
-          Round::NearestEven);
-      if (op >= start && filled < n) out[filled++] = {x3, in.b2, x2};
-      ++op;
-      const PFloat x = PFloat::add(
-          PFloat::mul(in.b1, x1, kBinary64, Round::NearestEven), t, kBinary64,
-          Round::NearestEven);
-      if (op >= start && filled < n) out[filled++] = {t, in.b1, x1};
-      ++op;
-      x3 = x2;
-      x2 = x1;
-      x1 = x;
-    }
-    idx = (run + 1) * per_run;
+ActivityMeasurement measure_recurrence(const UnitFactory& make_unit,
+                                       std::uint64_t seed, std::uint64_t ops) {
+  CSFMA_CHECK(ops > 0);
+  const std::uint64_t opc = 2ull * (kRecurrenceDepth - 2);
+  const std::uint64_t chains = (ops + opc - 1) / opc;
+  RecurrenceChainSource src(recurrence_inputs(seed, (int)chains),
+                            kRecurrenceDepth);
+  ActivityRecorder rec;
+  const std::unique_ptr<FmaUnit> unit = make_unit(&rec);
+  std::vector<ChainedOp> chain((std::size_t)opc);
+  std::vector<FmaOperand> natives((std::size_t)opc);
+  std::vector<PFloat> results((std::size_t)opc);
+  for (std::uint64_t c = 0; c < chains; ++c) {
+    src.fill_chain(c, chain.data());
+    step_chain(*unit, chain.data(), 0, std::min(opc, ops - c * opc),
+               natives.data(), results.data(), FmaBatchHooks{});
   }
-}
-
-ActivityMeasurement measure_stream(UnitKind kind, std::uint64_t seed, int runs,
-                                   int depth, int threads) {
-  RecurrenceSource src(seed, runs, depth);
-  EngineConfig cfg;
-  cfg.unit = kind;
-  cfg.threads = threads;
-  cfg.rm = Round::NearestEven;
-  SimEngine engine(cfg);
-  StreamResult r = engine.run_stream(src);
-  return reduce(r.activity, r.stats.ops);
+  return reduce(rec, ops);
 }
 
 }  // namespace csfma

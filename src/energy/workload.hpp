@@ -1,12 +1,16 @@
 // The Sec. IV-B benchmark workload, instrumented for switching activity:
 //   x[n] = B1*x[n-1] + B2*x[n-2] + x[n-3],  1 < |B1| < 32,  0 < |B2| < 1,
-// run in steady state through each architecture with ActivityRecorder
-// probes attached, mirroring the paper's ISim VCD/SAIF capture.
+// chained through a unit with ActivityRecorder probes attached, operands
+// kept in the unit's native format between steps, mirroring the paper's
+// ISim VCD/SAIF capture.  measure_recurrence() is the one toggle
+// measurement behind Table II and every DSE design point.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,59 +32,20 @@ struct ActivityMeasurement {
   std::map<std::string, std::uint64_t> stage_toggles;
 };
 
-/// CoreGen-style discrete multiply + add pipeline.
-ActivityMeasurement measure_discrete(std::uint64_t seed, int runs, int depth);
-/// FloPoCo-style fused pipeline (classic FMA datapath).
-ActivityMeasurement measure_classic(std::uint64_t seed, int runs, int depth);
-/// PCS-FMA chain (operands stay in PCS between the two units).
-ActivityMeasurement measure_pcs(std::uint64_t seed, int runs, int depth);
-/// FCS-FMA chain.
-ActivityMeasurement measure_fcs(std::uint64_t seed, int runs, int depth);
-
-/// The recurrence workload unrolled into an IEEE-boundary operand stream
-/// for SimEngine.  Run r (of `runs`, each `depth` steps) contributes its
-/// 2*(depth-2) multiply-add triples in issue order; operand values are the
-/// ones the discrete (two-rounding) pipeline would carry between steps.
-/// fill() replays only the runs covering the requested range and seeds
-/// each run independently, so triples depend on (seed, index) alone — safe
-/// for concurrent shard fills.
-class RecurrenceSource final : public OperandSource {
- public:
-  RecurrenceSource(std::uint64_t seed, int runs, int depth);
-  std::uint64_t size() const override;
-  void fill(std::uint64_t start, OperandTriple* out,
-            std::size_t n) const override;
-
-  /// Triples one run contributes (two multiply-adds per recurrence step).
-  std::uint64_t ops_per_run() const { return 2ull * (std::uint64_t)(depth_ - 2); }
-
- private:
-  std::uint64_t seed_;
-  int runs_, depth_;
-};
-
-/// Engine-based activity measurement: streams the recurrence workload
-/// through `kind` on `threads` workers and reduces the merged recorder.
-/// The deterministic shard merge makes the result independent of the
-/// thread count.
-ActivityMeasurement measure_stream(UnitKind kind, std::uint64_t seed, int runs,
-                                   int depth, int threads = 1);
-
 /// One run's coefficients and seed values for the recurrence.
 struct RecurrenceInputs {
   PFloat b1, b2;
   std::array<PFloat, 3> x;
 };
 
-/// The `runs` input sets the measure_* functions draw, in their original
-/// sequential-Rng order (one Rng(seed) stream across all runs).
+/// `runs` input sets drawn in order from one Rng(seed) stream.
 std::vector<RecurrenceInputs> recurrence_inputs(std::uint64_t seed, int runs);
 
 /// The recurrence workload as a CHAINED operand stream: one chain per run,
 /// two multiply-adds per step, with A and C wired to earlier chain results
 /// via ChainedOp refs — so SimEngine::run_chained keeps CS operands (with
 /// their deferred-rounding tails) between operations, exactly like the
-/// paper's Sec. IV-B chains and the original hand-rolled per-unit loops.
+/// paper's Sec. IV-B chains.
 class RecurrenceChainSource final : public ChainSource {
  public:
   RecurrenceChainSource(std::vector<RecurrenceInputs> inputs, int depth);
@@ -95,12 +60,23 @@ class RecurrenceChainSource final : public ChainSource {
   int depth_;
 };
 
-/// Chained engine measurement of any unit kind: drives the recurrence
-/// through SimEngine::run_chained on one shared code path (no per-unit
-/// loops).  For workloads that fit one engine shard this reproduces the
-/// original measure_* toggle counts bit-exactly; the measure_* functions
-/// are now wrappers over this.  Also fills the per-stage breakdown.
-ActivityMeasurement measure_chained(UnitKind kind, std::uint64_t seed,
-                                    int runs, int depth, int threads = 1);
+/// Chain length of the measured recurrence: Table II's x[50].
+inline constexpr int kRecurrenceDepth = 50;
+
+/// Builds the unit under measurement, wired to the recorder that counts
+/// its toggles (e.g. make_fma_unit(kind, rec) or make_cs_unit(geometry,
+/// rec)).
+using UnitFactory =
+    std::function<std::unique_ptr<FmaUnit>(ActivityRecorder* rec)>;
+
+/// All-stage switching activity of one unit on the recurrence: the first
+/// `ops` multiply-adds of RecurrenceChainSource(recurrence_inputs(seed,
+/// ...), kRecurrenceDepth), stepped in order on ONE unit through
+/// step_chain, so CS operands stay native between operations and every
+/// probe counts every transition (chain seams included).  Rounding moves
+/// no toggle, so the readout rounds to nearest-even.  Pure in (unit,
+/// seed, ops).
+ActivityMeasurement measure_recurrence(const UnitFactory& make_unit,
+                                       std::uint64_t seed, std::uint64_t ops);
 
 }  // namespace csfma

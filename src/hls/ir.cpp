@@ -1,6 +1,5 @@
 #include "hls/ir.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace csfma {
@@ -150,8 +149,8 @@ std::vector<int> Cdfg::users(int id) const {
   std::vector<int> out;
   for (const auto& n : nodes_) {
     if (n.dead) continue;
-    if (std::find(n.args.begin(), n.args.end(), id) != n.args.end())
-      out.push_back(n.id);
+    for (int a : n.args)
+      if (a == id) out.push_back(n.id);
   }
   return out;
 }

@@ -66,7 +66,9 @@ class Cdfg {
   std::vector<int> live_nodes() const;
   /// Live node ids in a topological order (inputs/consts first).
   std::vector<int> topo_order() const;
-  /// ids of nodes that use `id` as an argument.
+  /// ids of nodes that use `id` as an argument, one entry per use edge: a
+  /// node reading `id` twice (y = t * t) is listed twice, so the size is
+  /// the fan-out the schedulers and fusion passes count.
   std::vector<int> users(int id) const;
 
   /// Replace every use of `old_id` with `new_id` (Output args included).

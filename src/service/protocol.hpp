@@ -139,9 +139,6 @@ struct SweepRequest {
 
   /// Cross-product cardinality (what kMaxSweepPoints bounds).
   std::size_t point_count() const;
-  /// The per-point submit requests, in fixed expansion order
-  /// (implemented in sweep.cpp).
-  std::vector<SubmitRequest> expand() const;
 };
 
 struct StatusRequest {

@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
-#include "energy/workload.hpp"
 #include "fpga/architectures.hpp"
 
 namespace csfma {
 namespace {
+
+ActivityMeasurement measure(UnitKind kind, std::uint64_t seed,
+                            std::uint64_t ops) {
+  return measure_recurrence(
+      [kind](ActivityRecorder* rec) { return make_fma_unit(kind, rec); }, seed,
+      ops);
+}
 
 TEST(EnergyModel, CalibrationSolvesAnchors) {
   EnergyCoefficients k = calibrate(60.0, 1200, 0.54, 1200.0, 5800, 2.67);
@@ -21,33 +27,85 @@ TEST(EnergyModel, DegenerateAnchorsRejected) {
   EXPECT_THROW(calibrate(100.0, 1000, 0.5, 200.0, 2000, 1.0), CheckError);
 }
 
+TEST(EnergyModel, TableIIWorkloadMatchesRecordedValues) {
+  // All-stage toggles per multiply-add on the Table II workload (seed 1001,
+  // 20 chains of depth 50) and the anchors' (alpha, beta), bit for bit as
+  // bench/table2_energy measured and calibrated them when it still ran
+  // its own engine measurement and calibrate() call.
+  const struct {
+    UnitKind kind;
+    double toggles_per_op;
+  } rows[] = {{UnitKind::Discrete, 0x1.daebbbbbbbbbcp+5},
+              {UnitKind::Classic, 0x1.1a49ddddddddep+8},
+              {UnitKind::Pcs, 0x1.a1a0ddddddddep+9},
+              {UnitKind::Fcs, 0x1.62f3ccccccccdp+9}};
+  for (const auto& row : rows) {
+    const ActivityMeasurement m = measure(row.kind, kTableIISeed, kTableIIOps);
+    EXPECT_EQ(m.ops, 1920u);
+    EXPECT_EQ(m.toggles_per_op, row.toggles_per_op) << to_string(row.kind);
+  }
+  EXPECT_EQ(energy_coefficients().alpha_nj_per_toggle, 0x1.773e6c54568eep-11);
+  EXPECT_EQ(energy_coefficients().beta_nj_per_lut, 0x1.767ff4bd370a1p-12);
+}
+
+TEST(EnergyModel, MatchesAOneShardChainedEngineRun) {
+  // Whole chains on one unit are what SimEngine::run_chained does inside
+  // one shard, so the two agree probe for probe.
+  RecurrenceChainSource src(recurrence_inputs(5, 3), kRecurrenceDepth);
+  for (UnitKind kind : kAllUnitKinds) {
+    EngineConfig cfg;
+    cfg.unit = kind;
+    cfg.threads = 1;
+    BatchResult r = SimEngine(cfg).run_chained(src);
+    const ActivityMeasurement m = measure(kind, 5, r.stats.ops);
+    EXPECT_EQ(m.stage_toggles.size(), r.activity.stage_totals().size());
+    for (const auto& [stage, totals] : r.activity.stage_totals())
+      EXPECT_EQ(m.stage_toggles.at(stage), totals.toggles)
+          << to_string(kind) << " " << stage;
+    for (const auto& [name, probe] : r.activity.probes())
+      EXPECT_EQ(m.by_component.at(name),
+                (double)probe.toggles() / (double)r.stats.ops)
+          << to_string(kind) << " " << name;
+  }
+}
+
+TEST(EnergyModel, PartialChainsCountOnlyTheRequestedOps) {
+  // 100 ops = one whole chain plus the first 4 ops of the next.
+  const ActivityMeasurement m = measure(UnitKind::Pcs, 9, 100);
+  const ActivityMeasurement whole = measure(UnitKind::Pcs, 9, 96);
+  const ActivityMeasurement more = measure(UnitKind::Pcs, 9, 192);
+  EXPECT_EQ(m.ops, 100u);
+  EXPECT_GT(m.toggles_per_op * 100, whole.toggles_per_op * 96);
+  EXPECT_LT(m.toggles_per_op * 100, more.toggles_per_op * 192);
+}
+
 TEST(EnergyModel, CsPlanesToggleMoreThanIeeeBuses) {
   // The paper's XPower observation: "most of the energy was drawn in the
   // large CSA trees of multiplication and addition" — the carry-save
   // datapaths must show far more switching than re-normalized IEEE buses.
-  auto disc = measure_discrete(1, 4, 30);
-  auto pcs = measure_pcs(1, 4, 30);
-  auto fcs = measure_fcs(1, 4, 30);
+  auto disc = measure(UnitKind::Discrete, 1, 4 * 96);
+  auto pcs = measure(UnitKind::Pcs, 1, 4 * 96);
+  auto fcs = measure(UnitKind::Fcs, 1, 4 * 96);
   EXPECT_GT(pcs.toggles_per_op, 4.0 * disc.toggles_per_op);
   EXPECT_GT(fcs.toggles_per_op, 4.0 * disc.toggles_per_op);
 }
 
 TEST(EnergyModel, ClassicFusedBetweenDiscreteAndCs) {
-  auto disc = measure_discrete(2, 4, 30);
-  auto classic = measure_classic(2, 4, 30);
-  auto pcs = measure_pcs(2, 4, 30);
+  auto disc = measure(UnitKind::Discrete, 2, 4 * 96);
+  auto classic = measure(UnitKind::Classic, 2, 4 * 96);
+  auto pcs = measure(UnitKind::Pcs, 2, 4 * 96);
   EXPECT_GT(classic.toggles_per_op, disc.toggles_per_op);
   EXPECT_LT(classic.toggles_per_op, pcs.toggles_per_op);
 }
 
 TEST(EnergyModel, Table2Shape) {
-  // Calibrate on the Xilinx and PCS anchors, then check the paper's
-  // headline: the P/FCS units cost ~4-5x the discrete pair, and FCS is
-  // cheaper than PCS.
-  auto disc = measure_discrete(3, 6, 40);
-  auto classic = measure_classic(3, 6, 40);
-  auto pcs = measure_pcs(3, 6, 40);
-  auto fcs = measure_fcs(3, 6, 40);
+  // Calibrate on the Xilinx and PCS anchors of another workload, then
+  // check the paper's headline: the P/FCS units cost ~4-5x the discrete
+  // pair, and FCS is cheaper than PCS.
+  auto disc = measure(UnitKind::Discrete, 3, 6 * 96);
+  auto classic = measure(UnitKind::Classic, 3, 6 * 96);
+  auto pcs = measure(UnitKind::Pcs, 3, 6 * 96);
+  auto fcs = measure(UnitKind::Fcs, 3, 6 * 96);
   auto t = table1_reports(virtex6(), 200.0);
   auto luts = [&t](const std::string& n) {
     for (const auto& r : t)
@@ -70,8 +128,8 @@ TEST(EnergyModel, Table2Shape) {
 }
 
 TEST(EnergyModel, MeasurementsAreDeterministic) {
-  auto a = measure_pcs(7, 2, 20);
-  auto b = measure_pcs(7, 2, 20);
+  auto a = measure(UnitKind::Pcs, 7, 2 * 96);
+  auto b = measure(UnitKind::Pcs, 7, 2 * 96);
   EXPECT_EQ(a.ops, b.ops);
   EXPECT_DOUBLE_EQ(a.toggles_per_op, b.toggles_per_op);
 }

@@ -142,21 +142,6 @@ TEST(SimEngine, RandomSourceIsChunkingInvariant) {
   }
 }
 
-TEST(SimEngine, RecurrenceSourceIsChunkingInvariant) {
-  RecurrenceSource src(5, 4, 20);  // 4 runs x 36 ops
-  ASSERT_EQ(src.size(), 144u);
-  std::vector<OperandTriple> whole(144), pieces(144);
-  src.fill(0, whole.data(), 144);
-  src.fill(0, pieces.data(), 50);   // cuts through run 1
-  src.fill(50, pieces.data() + 50, 70);  // cuts through runs 1..3
-  src.fill(120, pieces.data() + 120, 24);
-  for (size_t i = 0; i < 144; ++i) {
-    EXPECT_TRUE(PFloat::same_value(whole[i].a, pieces[i].a)) << i;
-    EXPECT_TRUE(PFloat::same_value(whole[i].b, pieces[i].b)) << i;
-    EXPECT_TRUE(PFloat::same_value(whole[i].c, pieces[i].c)) << i;
-  }
-}
-
 TEST(SimEngine, SafeRateGuardsDegenerateInputs) {
   EXPECT_EQ(safe_rate(0, 0.0), 0.0);
   EXPECT_EQ(safe_rate(0, 1.0), 0.0);
@@ -314,32 +299,26 @@ TEST(SimEngine, ChainedMatchesHandWiredRecurrence) {
 // are thread-count invariant exactly like batch runs.
 TEST(SimEngine, ChainedIsThreadCountInvariant) {
   RecurrenceChainSource src(recurrence_inputs(55, 10), 30);
-  auto run = [&](int threads) {
-    EngineConfig cfg;
-    cfg.unit = UnitKind::Fcs;
-    cfg.threads = threads;
-    cfg.rm = Round::HalfAwayFromZero;
-    cfg.shard_ops = src.ops_per_chain();  // 10 shards
-    SimEngine engine(cfg);
-    return engine.run_chained(src);
-  };
-  BatchResult r1 = run(1);
-  BatchResult r4 = run(4);
-  ASSERT_EQ(r1.results.size(), r4.results.size());
-  for (std::size_t i = 0; i < r1.results.size(); ++i)
-    ASSERT_TRUE(PFloat::same_value(r1.results[i], r4.results[i])) << i;
-  EXPECT_EQ(toggle_map(r1.activity), toggle_map(r4.activity));
-  EXPECT_GT(r1.activity.total_toggles(), 0u);
-}
-
-TEST(SimEngine, MeasureChainedIsThreadCountInvariant) {
-  ActivityMeasurement one = measure_chained(UnitKind::Pcs, 9, 6, 30, 1);
-  ActivityMeasurement four = measure_chained(UnitKind::Pcs, 9, 6, 30, 4);
-  EXPECT_EQ(one.ops, four.ops);
-  EXPECT_DOUBLE_EQ(one.toggles_per_op, four.toggles_per_op);
-  EXPECT_EQ(one.by_component, four.by_component);
-  EXPECT_EQ(one.stage_toggles, four.stage_toggles);
-  EXPECT_GT(one.toggles_per_op, 0.0);
+  for (UnitKind kind : {UnitKind::Fcs, UnitKind::Pcs}) {
+    auto run = [&](int threads) {
+      EngineConfig cfg;
+      cfg.unit = kind;
+      cfg.threads = threads;
+      cfg.rm = Round::HalfAwayFromZero;
+      cfg.shard_ops = src.ops_per_chain();  // 10 shards
+      SimEngine engine(cfg);
+      return engine.run_chained(src);
+    };
+    BatchResult r1 = run(1);
+    BatchResult r4 = run(4);
+    ASSERT_EQ(r1.results.size(), r4.results.size()) << to_string(kind);
+    for (std::size_t i = 0; i < r1.results.size(); ++i)
+      ASSERT_TRUE(PFloat::same_value(r1.results[i], r4.results[i]))
+          << to_string(kind) << " op " << i;
+    EXPECT_EQ(toggle_map(r1.activity), toggle_map(r4.activity))
+        << to_string(kind);
+    EXPECT_GT(r1.activity.total_toggles(), 0u) << to_string(kind);
+  }
 }
 
 // Cooperative cancellation: EngineConfig::abort is polled at shard CLAIM
@@ -406,15 +385,6 @@ TEST(SimEngine, AbortChainedStopsOnChainBoundary) {
   EXPECT_TRUE(r.stats.aborted);
   EXPECT_EQ(r.stats.ops_done, 3 * src.ops_per_chain());
   EXPECT_EQ(r.stats.ops_done % src.ops_per_chain(), 0u);
-}
-
-TEST(SimEngine, MeasureStreamIsThreadCountInvariant) {
-  ActivityMeasurement one = measure_stream(UnitKind::Pcs, 77, 6, 30, 1);
-  ActivityMeasurement four = measure_stream(UnitKind::Pcs, 77, 6, 30, 4);
-  EXPECT_EQ(one.ops, four.ops);
-  EXPECT_DOUBLE_EQ(one.toggles_per_op, four.toggles_per_op);
-  EXPECT_EQ(one.by_component, four.by_component);
-  EXPECT_GT(one.toggles_per_op, 0.0);
 }
 
 // ---- backend equivalence (the scalar|sliced knob) ------------------------

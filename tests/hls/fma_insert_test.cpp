@@ -95,6 +95,26 @@ TEST(FmaInsert, MultiUseMulIsNotFused) {
   EXPECT_EQ(g.count(OpKind::Mul), 1);
 }
 
+TEST(FmaInsert, ProductReadTwiceByOneAddIsNotFused) {
+  // t = a*b; y = t + t + c: the first add reads the product on both edges,
+  // so t has two uses and must stay a discrete multiply.  Fusing it killed
+  // t while the FMA still read it as its addend.
+  Cdfg g;
+  int a = g.add_input("a");
+  int b = g.add_input("b");
+  int c = g.add_input("c");
+  int t = g.add_op(OpKind::Mul, {a, b});
+  int y = g.add_op(OpKind::Add, {g.add_op(OpKind::Add, {t, t}), c});
+  g.add_output("y", y);
+  Cdfg fused = g;
+  FmaInsertStats st = insert_fma_units(fused, lib(), FmaStyle::Pcs);
+  fused.validate();
+  EXPECT_EQ(st.fma_inserted, 0);
+  EXPECT_EQ(fused.count(OpKind::Mul), 1);
+  const std::map<std::string, double> in{{"a", 1.5}, {"b", -2.25}, {"c", 3.0}};
+  EXPECT_EQ(Evaluator(fused).run(in).at("y"), Evaluator(g).run(in).at("y"));
+}
+
 TEST(FmaInsert, SubtractionsFoldWithSignFlips) {
   Rng rng(131);
   OperatorLibrary l = lib();

@@ -112,6 +112,24 @@ TEST(Schedule, ListResourceLimitSerializesIndependentOps) {
   EXPECT_EQ(s2.length, 3 + l.attr(OpKind::Mul).latency);
 }
 
+TEST(Schedule, ListCountsEveryUseEdgeOfASquaredValue) {
+  // t = a + b; y = t * t: the multiply waits on two edges from one
+  // producer, so both must release it (ldlfactor squares values the same
+  // way).  Counting the producer once left y blocked forever.
+  OperatorLibrary l = lib();
+  Cdfg g;
+  int a = g.add_input("a");
+  int b = g.add_input("b");
+  int t = g.add_op(OpKind::Add, {a, b});
+  int y = g.add_op(OpKind::Mul, {t, t});
+  g.add_output("y", y);
+  ResourceLimits lim;
+  lim.mul = 1;
+  Schedule s = schedule_list(g, l, lim);
+  EXPECT_EQ(s.start[(size_t)y], l.attr(OpKind::Add).latency);
+  EXPECT_EQ(s.length, schedule_asap(g, l).length);
+}
+
 TEST(Schedule, ListNeverBeatsAsap) {
   OperatorLibrary l = lib();
   Cdfg g = chain_of_mas(4);

@@ -106,10 +106,15 @@ TEST(Pipeline, SynthesisAndSchedulingAgreeOnLatencies) {
 }
 
 TEST(Pipeline, EnergyWorkloadsAreSeedStable) {
-  auto a = measure_fcs(42, 3, 25);
-  auto b = measure_fcs(42, 3, 25);
+  const auto fcs = [](std::uint64_t seed) {
+    return measure_recurrence(
+        [](ActivityRecorder* rec) { return make_fma_unit(UnitKind::Fcs, rec); },
+        seed, 3 * 96);
+  };
+  auto a = fcs(42);
+  auto b = fcs(42);
   EXPECT_DOUBLE_EQ(a.toggles_per_op, b.toggles_per_op);
-  auto c = measure_fcs(43, 3, 25);
+  auto c = fcs(43);
   EXPECT_NE(a.toggles_per_op, c.toggles_per_op);  // the seed matters
 }
 

@@ -97,7 +97,9 @@ TEST(IntrospectIntegration, StageTogglesSumToUnitTotals) {
 // publishes in its stage_activity report section).
 TEST(IntrospectIntegration, MeasurementStageTogglesSumToTotal) {
   for (UnitKind kind : kAllUnitKinds) {
-    ActivityMeasurement m = measure_chained(kind, 77, 4, 20);
+    ActivityMeasurement m = measure_recurrence(
+        [kind](ActivityRecorder* rec) { return make_fma_unit(kind, rec); }, 77,
+        4 * 96);
     double stage_sum = 0;
     for (const auto& [stage, t] : m.by_stage) stage_sum += t;
     EXPECT_NEAR(stage_sum, m.toggles_per_op, 1e-9) << to_string(kind);

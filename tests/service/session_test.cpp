@@ -483,7 +483,8 @@ TEST(ServiceSession, ModelSubmitRoundTripCarriesTheDesignMetrics) {
   cfg.workers = 1;
   ServiceSession session(cfg, sink.fn());
   session.handle_line(
-      R"({"type":"submit","id":"m1","mode":"model","unit":"pcs","seed":1})");
+      R"({"type":"submit","id":"m1","mode":"model","unit":"pcs",)"
+      R"("seed":1001,"ops":1920})");
   session.wait_idle();
   auto results = sink.of_type("result");
   ASSERT_EQ(results.size(), 1u);
@@ -495,7 +496,8 @@ TEST(ServiceSession, ModelSubmitRoundTripCarriesTheDesignMetrics) {
   EXPECT_EQ(meta->find("rwidth")->as_string(), "55");  // resolved, not 0
   const JsonValue* metrics = rep->find("metrics");
   ASSERT_NE(metrics, nullptr);
-  // The paper-geometry PCS point: the Fig 9 area and the Table II anchor.
+  // The paper-geometry PCS point at the Table II workload: the Fig 9 area
+  // and the Table II anchor.
   EXPECT_EQ(metrics->find("luts")->as_int(), 5802);
   EXPECT_EQ(metrics->find("dsps")->as_int(), 21);
   EXPECT_NEAR(metrics->find("energy_nj")->as_number(), 2.67, 1e-9);
@@ -503,8 +505,8 @@ TEST(ServiceSession, ModelSubmitRoundTripCarriesTheDesignMetrics) {
 
   // The same design spelled with an explicit rwidth is a cache hit.
   session.handle_line(
-      R"({"type":"submit","id":"m2","mode":"model","unit":"pcs","seed":1,)"
-      R"("rwidth":55})");
+      R"({"type":"submit","id":"m2","mode":"model","unit":"pcs",)"
+      R"("seed":1001,"ops":1920,"rwidth":55})");
   session.wait_idle();
   results = sink.of_type("result");
   ASSERT_EQ(results.size(), 2u);
