@@ -114,6 +114,5 @@ int main(int argc, char** argv) {
     if (!out_paths.csv_path.empty())
       report.write_csv(out_paths.csv_path, "block_size");
   }
-  harness.write_baseline();
   return 0;
 }

@@ -86,6 +86,5 @@ int main(int argc, char** argv) {
     if (!out_paths.csv_path.empty())
       report.write_csv(out_paths.csv_path, "carry_spacing");
   }
-  harness.write_baseline();
   return 0;
 }

@@ -72,6 +72,5 @@ int main(int argc, char** argv) {
     if (!out_paths.csv_path.empty())
       report.write_csv(out_paths.csv_path, "hls_elision");
   }
-  harness.write_baseline();
   return 0;
 }

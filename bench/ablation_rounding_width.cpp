@@ -119,6 +119,5 @@ int main(int argc, char** argv) {
     if (!out_paths.csv_path.empty())
       report.write_csv(out_paths.csv_path, "rounding_width");
   }
-  harness.write_baseline();
   return 0;
 }

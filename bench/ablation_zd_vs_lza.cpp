@@ -116,6 +116,5 @@ int main(int argc, char** argv) {
     if (!out_paths.csv_path.empty())
       report.write_csv(out_paths.csv_path, "zd_vs_lza");
   }
-  harness.write_baseline();
   return 0;
 }

@@ -5,8 +5,7 @@
 // activity totals whatever the thread count.
 //
 //   engine_throughput [ops] [threads] [--json <path>] [--trace <path>]
-//                     [--reps N] [--warmup N] [--bench-out <path>]
-//                     [--no-bench-out] [--progress]
+//                     [--reps N] [--warmup N] [--progress]
 //                     [--backend scalar|sliced] [--workers N]
 //                                        (default: 1000000 ops,
 //                                         max(4, hardware_concurrency))
@@ -22,8 +21,8 @@
 // its "metrics" section is byte-identical for any thread count.  --trace
 // writes a chrome://tracing / Perfetto trace of the parallel run.  Both
 // runs repeat warmup+reps times through the shared bench harness
-// (bench/harness.hpp), which writes the BENCH_engine_throughput.json
-// host-performance baseline for scripts/bench_compare.py.
+// (bench/harness.hpp), whose medians land in the report's
+// bench_host_perf section.
 //
 // Exit status: 1 on any determinism violation; 1 if the default (no-args)
 // run on a machine with >= 4 hardware threads fails the >= 3x speedup
@@ -184,9 +183,6 @@ int main(int argc, char** argv) {
     report.write_json(out_paths.json_path);
     std::printf("  report written to %s\n", out_paths.json_path.c_str());
   }
-  const std::string baseline = harness.write_baseline();
-  if (!baseline.empty())
-    std::printf("  baseline written to %s\n", baseline.c_str());
 
   if (!identical || !same_activity) {
     std::printf("\nFAIL: determinism contract violated\n");

@@ -121,6 +121,5 @@ int main(int argc, char** argv) {
     if (!out_paths.json_path.empty()) report.write_json(out_paths.json_path);
     if (!out_paths.csv_path.empty()) report.write_csv(out_paths.csv_path, "mvm");
   }
-  harness.write_baseline();
   return 0;
 }

@@ -124,6 +124,5 @@ int main(int argc, char** argv) {
     if (!out_paths.csv_path.empty())
       report.write_csv(out_paths.csv_path, "dsp_kernels");
   }
-  harness.write_baseline();
   return 0;
 }

@@ -14,9 +14,9 @@
 //
 // The P/FCS chains run through SimEngine::run_chained (operands stay in
 // CS form with their deferred-rounding tails between operations); the
-// format-ladder runs stay explicit loops because binary68/75 are operand
-// FORMATS of the discrete pipeline, not FmaUnit architectures.
-#include <array>
+// format ladder runs the discrete pipeline at binary64/68/75, which are
+// operand FORMATS, not FmaUnit architectures.  Both halves live in
+// src/energy/workload.hpp (recurrence_finals, discrete_recurrence).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -31,69 +31,16 @@ namespace {
 
 using namespace csfma;
 
-struct Inputs {
-  double b1, b2;
-  std::array<double, 3> x0;
-};
-
-Inputs random_inputs(Rng& rng) {
-  Inputs in;
-  in.b1 = rng.next_double(1.0, 32.0) * (rng.next_bool() ? 1 : -1);
-  in.b2 = rng.next_double(1e-6, 1.0) * (rng.next_bool() ? 1 : -1);
-  for (auto& x : in.x0) x = rng.next_double(-1.0, 1.0);
+/// Fig 14's own draw: |B2| from 1e-6, wider than recurrence_inputs().
+RecurrenceInputs random_inputs(Rng& rng) {
+  const double b1 = rng.next_double(1.0, 32.0) * (rng.next_bool() ? 1 : -1);
+  const double b2 = rng.next_double(1e-6, 1.0) * (rng.next_bool() ? 1 : -1);
+  RecurrenceInputs in;
+  in.b1 = PFloat::from_double(kBinary64, b1);
+  in.b2 = PFloat::from_double(kBinary64, b2);
+  for (auto& x : in.x)
+    x = PFloat::from_double(kBinary64, rng.next_double(-1.0, 1.0));
   return in;
-}
-
-RecurrenceInputs lift_inputs(const Inputs& in) {
-  RecurrenceInputs r;
-  r.b1 = PFloat::from_double(kBinary64, in.b1);
-  r.b2 = PFloat::from_double(kBinary64, in.b2);
-  for (int i = 0; i < 3; ++i)
-    r.x[(std::size_t)i] = PFloat::from_double(kBinary64, in.x0[(std::size_t)i]);
-  return r;
-}
-
-/// Per-run final x[depth] of the recurrence through `kind`, chained
-/// natively by the engine; also returns the run's merged event log.
-std::vector<PFloat> chain_finals(UnitKind kind,
-                                 const std::vector<RecurrenceInputs>& inputs,
-                                 int depth, int threads, EventLog* events,
-                                 BenchHarness* harness) {
-  RecurrenceChainSource src(inputs, depth);
-  EngineConfig cfg;
-  cfg.unit = kind;
-  cfg.threads = threads;
-  cfg.shard_ops = src.ops_per_chain();  // one chain per shard
-  cfg.rm = Round::HalfAwayFromZero;  // the CS units' deferred readout rule
-  cfg.event_capacity = 256;
-  if (harness != nullptr) harness->configure_engine(cfg);
-  SimEngine engine(cfg);
-  BatchResult r = engine.run_chained(src);
-  *events = r.events;
-  const std::uint64_t opc = src.ops_per_chain();
-  std::vector<PFloat> finals;
-  finals.reserve(inputs.size());
-  for (std::size_t run = 0; run < inputs.size(); ++run)
-    finals.push_back(r.results[(run + 1) * (std::size_t)opc - 1]);
-  return finals;
-}
-
-PFloat discrete(const Inputs& in, const FloatFormat& fmt, int n) {
-  PFloat b1 = PFloat::from_double(fmt, in.b1);
-  PFloat b2 = PFloat::from_double(fmt, in.b2);
-  PFloat x3 = PFloat::from_double(fmt, in.x0[0]);
-  PFloat x2 = PFloat::from_double(fmt, in.x0[1]);
-  PFloat x1 = PFloat::from_double(fmt, in.x0[2]);
-  for (int i = 3; i <= n; ++i) {
-    PFloat t = PFloat::add(PFloat::mul(b2, x2, fmt, Round::NearestEven), x3,
-                           fmt, Round::NearestEven);
-    PFloat x = PFloat::add(PFloat::mul(b1, x1, fmt, Round::NearestEven), t,
-                           fmt, Round::NearestEven);
-    x3 = x2;
-    x2 = x1;
-    x1 = x;
-  }
-  return x1;
 }
 
 }  // namespace
@@ -108,13 +55,13 @@ int main(int argc, char** argv) {
   const int kRuns = 20, kDepth = 50;
   const std::uint64_t kSeed = 424242;
   Rng rng(kSeed);
-  std::vector<Inputs> inputs;
-  std::vector<RecurrenceInputs> chain_inputs;
-  for (int run = 0; run < kRuns; ++run) {
-    inputs.push_back(random_inputs(rng));
-    chain_inputs.push_back(lift_inputs(inputs.back()));
-  }
+  std::vector<RecurrenceInputs> inputs;
+  for (int run = 0; run < kRuns; ++run) inputs.push_back(random_inputs(rng));
   BenchHarness harness("fig14_accuracy", hopts);
+  EngineConfig cfg;
+  cfg.threads = threads;
+  cfg.event_capacity = 256;
+  harness.configure_engine(cfg);
   const std::uint64_t ops_per_rep =
       (std::uint64_t)kRuns * 2u * (std::uint64_t)(kDepth - 2);
   EventLog pcs_events(0), fcs_events(0);
@@ -122,15 +69,15 @@ int main(int argc, char** argv) {
   harness.measure(
       "chain.pcs",
       [&] {
-        pcs_finals = chain_finals(UnitKind::Pcs, chain_inputs, kDepth, threads,
-                                  &pcs_events, &harness);
+        cfg.unit = UnitKind::Pcs;
+        pcs_finals = recurrence_finals(cfg, inputs, kDepth, &pcs_events);
       },
       ops_per_rep);
   harness.measure(
       "chain.fcs",
       [&] {
-        fcs_finals = chain_finals(UnitKind::Fcs, chain_inputs, kDepth, threads,
-                                  &fcs_events, &harness);
+        cfg.unit = UnitKind::Fcs;
+        fcs_finals = recurrence_finals(cfg, inputs, kDepth, &fcs_events);
       },
       ops_per_rep);
 
@@ -140,12 +87,12 @@ int main(int argc, char** argv) {
       [&] {
         e64 = e68 = e_pcs = e_fcs = 0;
         for (int run = 0; run < kRuns; ++run) {
-          const Inputs& in = inputs[(std::size_t)run];
-          PFloat golden = discrete(in, kBinary75, kDepth);  // 75b reference
-          e64 +=
-              PFloat::ulp_error(discrete(in, kBinary64, kDepth), golden, 52);
-          e68 +=
-              PFloat::ulp_error(discrete(in, kBinary68, kDepth), golden, 52);
+          const RecurrenceInputs& in = inputs[(std::size_t)run];
+          const PFloat golden = discrete_recurrence(in, kBinary75, kDepth);
+          e64 += PFloat::ulp_error(discrete_recurrence(in, kBinary64, kDepth),
+                                   golden, 52);
+          e68 += PFloat::ulp_error(discrete_recurrence(in, kBinary68, kDepth),
+                                   golden, 52);
           e_pcs += PFloat::ulp_error(pcs_finals[(std::size_t)run], golden, 52);
           e_fcs += PFloat::ulp_error(fcs_finals[(std::size_t)run], golden, 52);
         }
@@ -207,6 +154,5 @@ int main(int argc, char** argv) {
     harness.attach(report);
     report.write_json(out_paths.json_path);
   }
-  harness.write_baseline();
   return (e_pcs < e64 && e_fcs < e64) ? 0 : 1;
 }

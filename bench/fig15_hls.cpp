@@ -100,6 +100,5 @@ int main(int argc, char** argv) {
     if (!out_paths.csv_path.empty())
       report.write_csv(out_paths.csv_path, "fig15");
   }
-  harness.write_baseline();
   return 0;
 }

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "telemetry/json.hpp"
 
@@ -72,10 +71,6 @@ HarnessOptions extract_harness_args(int& argc, char** argv) {
       opts.reps = std::atoi(argv[++i]);
     } else if (std::strcmp(a, "--warmup") == 0 && has_value) {
       opts.warmup = std::atoi(argv[++i]);
-    } else if (std::strcmp(a, "--bench-out") == 0 && has_value) {
-      opts.bench_out = argv[++i];
-    } else if (std::strcmp(a, "--no-bench-out") == 0) {
-      opts.bench_out.assign(1, '-');  // `= "-"` trips g++ 12's -Wrestrict
     } else if (std::strcmp(a, "--progress") == 0) {
       opts.progress = true;
     } else if (std::strcmp(a, "--no-hw-counters") == 0) {
@@ -218,7 +213,7 @@ std::string BenchHarness::host_perf_json() const {
   return w.str();
 }
 
-void BenchHarness::fill_report(Report& report) const {
+void BenchHarness::attach(Report& report) const {
   for (const Phase& p : phases_) {
     const RobustStats s = robust_stats(p.samples_s);
     const std::string prefix = "host." + p.name;
@@ -232,38 +227,6 @@ void BenchHarness::fill_report(Report& report) const {
                     (double)p.ops_per_rep / s.median);
   }
   report.section("bench_host_perf", host_perf_json());
-}
-
-void BenchHarness::attach(Report& report) const { fill_report(report); }
-
-std::string BenchHarness::write_baseline() const {
-  if (opts_.bench_out == "-") return "";
-  const std::string path =
-      opts_.bench_out.empty() ? "BENCH_" + name_ + ".json" : opts_.bench_out;
-  Report report(name_);
-  report.meta("host", host_fingerprint());
-  report.meta("hardware_threads",
-              (std::uint64_t)std::thread::hardware_concurrency());
-  report.meta("backend", to_string(opts_.backend));
-  if (opts_.workers > 0) {
-    // Mirror of the engine's worker clamp (EngineConfig::threads): a
-    // request beyond the host's hardware threads runs clamped, and the
-    // baseline says so — bench_compare.py can then refuse to read a
-    // clamped "4-worker" run as genuine 4-way scaling.
-    const unsigned hwc = std::thread::hardware_concurrency();
-    const int hw_threads = hwc == 0 ? 1 : (int)hwc;
-    report.meta("workers_requested", opts_.workers);
-    report.meta("workers_effective",
-                opts_.workers > hw_threads ? hw_threads : opts_.workers);
-    report.meta("workers_clamped",
-                opts_.workers > hw_threads ? "true" : "false");
-  }
-  report.meta("hw_counters", profiler_.hw_enabled() ? "true" : "false");
-  report.meta("reps", opts_.reps);
-  report.meta("warmup", opts_.warmup);
-  fill_report(report);
-  report.write_json(path);
-  return path;
 }
 
 }  // namespace csfma

@@ -1,19 +1,22 @@
-// Shared bench-runner harness: every binary under bench/ measures its hot
-// phases through this one library so host-performance numbers are produced,
-// summarized and exported the same way everywhere.
+// Shared bench-runner harness: every table, figure and ablation bench
+// under bench/ measures its hot phases through this one library, so
+// host-performance numbers are produced, summarized and exported the same
+// way everywhere.
 //
 // What it does:
 //   * warmup/repeat/outlier logic — each measured phase runs `warmup`
 //     unrecorded repetitions followed by `reps` timed ones, and the sample
 //     set is summarized as median + MAD with MAD-based outlier rejection
-//     (robust_stats), so one scheduler hiccup cannot shift a baseline;
+//     (robust_stats), so one scheduler hiccup cannot shift a median;
 //   * host profiling — owns a HostProfiler; configure_engine() attaches it
 //     (and the --progress heartbeat) to a SimEngine's hot paths, and every
 //     measured phase is itself a "bench.<phase>" profiler scope;
 //   * export — attach() adds a "bench_host_perf" section plus host.*
-//     timing entries to the bench's csfma-report-v1 report, and
-//     write_baseline() emits the standalone BENCH_<name>.json baseline
-//     document that scripts/bench_compare.py diffs runs against.
+//     timing entries to the bench's csfma-report-v1 report.
+//
+// These medians describe one run on one host.  Speed claims between two
+// versions are judged by perfbench under the paired gate
+// (scripts/perf_gate.py, docs/observability.md).
 //
 // Host timings are Timing-stability data (docs/observability.md): the
 // VALUES vary run to run and are exempt from the determinism contract; the
@@ -53,9 +56,6 @@ RobustStats robust_stats(const std::vector<double>& samples, double k = 3.5);
 struct HarnessOptions {
   int reps = 5;    // timed repetitions per phase
   int warmup = 1;  // unrecorded warmup repetitions per phase
-  /// Baseline output path; "" = BENCH_<name>.json in the working
-  /// directory, "-" = do not write a baseline.
-  std::string bench_out;
   bool progress = false;     // engine progress heartbeat on stderr
   bool hw_counters = true;   // request perf_event counters (auto-degrades)
   /// Engine execution backend (--backend scalar|sliced); applied by
@@ -66,16 +66,13 @@ struct HarnessOptions {
   /// default.  Benches apply it to the phases where a worker count is
   /// meaningful (configure_engine() leaves cfg.threads alone, so a bench
   /// can still measure a deliberate 1-thread phase under --workers 4).
-  /// The engine clamps the effective count to the host's
-  /// hardware threads (EngineConfig::threads) and the harness records the
-  /// clamp in the baseline meta, so a `--workers 4` run on a 1-thread CI
-  /// box is visible as such instead of masquerading as true 4-way data.
+  /// The engine clamps the effective count to the host's hardware threads
+  /// (EngineConfig::threads).
   int workers = 0;
 };
 
 /// Common bench CLI plumbing, same contract as extract_report_args():
-/// removes `--reps <n>`, `--warmup <n>`, `--bench-out <path>`,
-/// `--no-bench-out`, `--progress`, `--no-hw-counters`,
+/// removes `--reps <n>`, `--warmup <n>`, `--progress`, `--no-hw-counters`,
 /// `--backend <scalar|sliced>` and `--workers <n>` from argv so
 /// positional argument parsing stays untouched.
 HarnessOptions extract_harness_args(int& argc, char** argv);
@@ -110,11 +107,6 @@ class BenchHarness {
   /// validates its shape but exempts it from determinism comparison.
   void attach(Report& report) const;
 
-  /// Write the standalone BENCH_<name>.json baseline (itself a
-  /// csfma-report-v1 document).  Returns the path written, or "" when
-  /// baselines are disabled (--no-bench-out).
-  std::string write_baseline() const;
-
  private:
   struct Phase {
     std::string name;
@@ -124,7 +116,6 @@ class BenchHarness {
 
   /// The "bench_host_perf" section body (pre-rendered JSON).
   std::string host_perf_json() const;
-  void fill_report(Report& report) const;
 
   std::string name_;
   HarnessOptions opts_;
@@ -132,9 +123,8 @@ class BenchHarness {
   std::vector<Phase> phases_;
 };
 
-/// "nodename/machine" from uname(2), or "unknown" — coarse host identity
-/// recorded in baselines so bench_compare.py can refuse to apply timing
-/// thresholds across different machines.
+/// "nodename/machine" from uname(2), or "unknown": the coarse host
+/// identity recorded in the bench_host_perf section.
 std::string host_fingerprint();
 
 }  // namespace csfma

@@ -10,10 +10,7 @@
 // regressions everywhere.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-
 #include "engine/sim_engine.hpp"
-#include "harness.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace {
@@ -122,95 +119,6 @@ void BM_LiftLower(benchmark::State& state, UnitKind kind) {
 BENCHMARK_CAPTURE(BM_LiftLower, pcs, UnitKind::Pcs);
 BENCHMARK_CAPTURE(BM_LiftLower, fcs, UnitKind::Fcs);
 
-/// Harness-measured mirrors of the gbench hot paths: fixed-iteration
-/// phases whose median/MAD land in BENCH_micro_units.json so
-/// scripts/bench_compare.py can gate per-unit fma() throughput.  (gbench's
-/// own adaptive-iteration numbers stay on stdout for humans.)
-void run_harness_phases(BenchHarness& harness) {
-  constexpr std::uint64_t kIters = 1 << 15;
-  auto ops = triples(256, 2);
-
-  const struct {
-    const char* label;
-    UnitKind kind;
-  } kUnits[] = {
-      {"discrete", UnitKind::Discrete},
-      {"classic", UnitKind::Classic},
-      {"pcs", UnitKind::Pcs},
-      {"fcs", UnitKind::Fcs},
-  };
-  for (const auto& u : kUnits) {
-    auto unit = make_fma_unit(u.kind);
-    harness.measure(
-        std::string("fma_ieee.") + u.label,
-        [&] {
-          for (std::uint64_t i = 0; i < kIters; ++i) {
-            const OperandTriple& t = ops[i % 256];
-            PFloat r = unit->fma_ieee(t.a, t.b, t.c, Round::NearestEven);
-            benchmark::DoNotOptimize(r);
-          }
-        },
-        kIters);
-  }
-  for (UnitKind kind : {UnitKind::Pcs, UnitKind::Fcs}) {
-    auto unit = make_fma_unit(kind);
-    const char* label = kind == UnitKind::Pcs ? "chained.pcs" : "chained.fcs";
-    harness.measure(
-        label,
-        [&] {
-          FmaOperand acc = unit->lift(ops[0].a);
-          for (std::uint64_t i = 1; i <= kIters; ++i) {
-            const OperandTriple& t = ops[i % 256];
-            acc = unit->fma(acc, t.b, unit->lift(t.c));
-            if (i % 64 == 0) {
-              PFloat out = unit->lower(acc, Round::HalfAwayFromZero);
-              benchmark::DoNotOptimize(out);
-              acc = unit->lift(ops[i % 256].a);
-            }
-          }
-          benchmark::DoNotOptimize(acc);
-        },
-        kIters);
-  }
-  {
-    // Full engine path with the profiler attached: the engine.fill /
-    // engine.simulate / engine.merge scopes land in the baseline too.
-    const std::uint64_t n = 4096;
-    RandomTripleSource src(4, n);
-    MetricsRegistry metrics;
-    EngineConfig cfg;
-    cfg.unit = UnitKind::Pcs;
-    cfg.threads = 1;
-    cfg.shard_ops = 1024;
-    cfg.metrics = &metrics;
-    harness.configure_engine(cfg);
-    SimEngine engine(cfg);
-    harness.measure(
-        "engine_batch.pcs",
-        [&] {
-          BatchResult r = engine.run_batch(src);
-          benchmark::DoNotOptimize(r.results.data());
-        },
-        n);
-  }
-}
-
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): run the harness phases first
-// (writing the host-perf baseline), then hand the remaining argv to
-// google-benchmark.
-int main(int argc, char** argv) {
-  HarnessOptions hopts = extract_harness_args(argc, argv);
-  BenchHarness harness("micro_units", hopts);
-  run_harness_phases(harness);
-  const std::string baseline = harness.write_baseline();
-  if (!baseline.empty())
-    std::printf("harness baseline written to %s\n", baseline.c_str());
-
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -103,6 +103,5 @@ int main(int argc, char** argv) {
     if (!out_paths.csv_path.empty())
       report.write_csv(out_paths.csv_path, "table1");
   }
-  harness.write_baseline();
   return 0;
 }

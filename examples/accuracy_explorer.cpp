@@ -5,12 +5,12 @@
 //
 //   * recurrence_inputs()     draws the shared workload coefficients,
 //   * RecurrenceChainSource   unrolls them into chained multiply-adds,
-//   * SimEngine::run_chained  streams them through an FmaUnit, keeping
-//                             CS operands (deferred-rounding tails)
-//                             between the links of each chain.
-//
-// The discrete 64/68/75b runs stay explicit loops: those are operand
-// FORMATS of the two-rounding pipeline, not FmaUnit architectures.
+//   * recurrence_finals()     streams them through an FmaUnit with
+//                             SimEngine::run_chained, keeping CS operands
+//                             (deferred-rounding tails) between the links
+//                             of each chain, and keeps each chain's x[depth],
+//   * discrete_recurrence()   runs the two-rounding pipeline at 64/68/75b:
+//                             operand FORMATS, not FmaUnit architectures.
 //
 //   ./build/examples/accuracy_explorer [runs]
 #include <cstdio>
@@ -20,52 +20,7 @@
 #include "energy/workload.hpp"
 #include "engine/sim_engine.hpp"
 
-namespace {
-
 using namespace csfma;
-
-/// Final x[depth] of every run's recurrence through `kind`, chained
-/// natively by the engine (one chain per engine shard).
-std::vector<PFloat> chain_finals(UnitKind kind,
-                                 const std::vector<RecurrenceInputs>& inputs,
-                                 int depth) {
-  RecurrenceChainSource src(inputs, depth);
-  EngineConfig cfg;
-  cfg.unit = kind;
-  cfg.shard_ops = src.ops_per_chain();
-  cfg.rm = Round::HalfAwayFromZero;  // the CS units' deferred readout rule
-  SimEngine engine(cfg);
-  BatchResult r = engine.run_chained(src);
-  const std::uint64_t opc = src.ops_per_chain();
-  std::vector<PFloat> finals;
-  finals.reserve(inputs.size());
-  for (std::size_t run = 0; run < inputs.size(); ++run)
-    finals.push_back(r.results[(run + 1) * (std::size_t)opc - 1]);
-  return finals;
-}
-
-/// The same recurrence through the discrete pipeline at format `fmt`
-/// (a rounding per multiply and per add — the CoreGen baseline).
-PFloat discrete(const RecurrenceInputs& in, const FloatFormat& fmt,
-                int depth) {
-  PFloat b1 = PFloat::from_double(fmt, in.b1.to_double());
-  PFloat b2 = PFloat::from_double(fmt, in.b2.to_double());
-  PFloat x3 = PFloat::from_double(fmt, in.x[0].to_double());
-  PFloat x2 = PFloat::from_double(fmt, in.x[1].to_double());
-  PFloat x1 = PFloat::from_double(fmt, in.x[2].to_double());
-  for (int i = 3; i <= depth; ++i) {
-    PFloat t = PFloat::add(PFloat::mul(b2, x2, fmt, Round::NearestEven), x3,
-                           fmt, Round::NearestEven);
-    PFloat x = PFloat::add(PFloat::mul(b1, x1, fmt, Round::NearestEven), t,
-                           fmt, Round::NearestEven);
-    x3 = x2;
-    x2 = x1;
-    x1 = x;
-  }
-  return x1;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const int runs = argc > 1 ? std::atoi(argv[1]) : 20;
@@ -78,14 +33,19 @@ int main(int argc, char** argv) {
   std::printf("%.*s\n", 60, "--------------------------------------------------"
                             "----------");
   for (int depth : {10, 20, 35, 50, 80}) {
-    const std::vector<PFloat> pcs = chain_finals(UnitKind::Pcs, inputs, depth);
-    const std::vector<PFloat> fcs = chain_finals(UnitKind::Fcs, inputs, depth);
+    EngineConfig pcs_cfg, fcs_cfg;
+    pcs_cfg.unit = UnitKind::Pcs;
+    fcs_cfg.unit = UnitKind::Fcs;
+    const std::vector<PFloat> pcs = recurrence_finals(pcs_cfg, inputs, depth);
+    const std::vector<PFloat> fcs = recurrence_finals(fcs_cfg, inputs, depth);
     double e64 = 0, e68 = 0, ep = 0, ef = 0;
     for (int i = 0; i < runs; ++i) {
       const RecurrenceInputs& in = inputs[(std::size_t)i];
-      PFloat golden = discrete(in, kBinary75, depth);
-      e64 += PFloat::ulp_error(discrete(in, kBinary64, depth), golden, 52);
-      e68 += PFloat::ulp_error(discrete(in, kBinary68, depth), golden, 52);
+      const PFloat golden = discrete_recurrence(in, kBinary75, depth);
+      e64 += PFloat::ulp_error(discrete_recurrence(in, kBinary64, depth),
+                               golden, 52);
+      e68 += PFloat::ulp_error(discrete_recurrence(in, kBinary68, depth),
+                               golden, 52);
       ep += PFloat::ulp_error(pcs[(std::size_t)i], golden, 52);
       ef += PFloat::ulp_error(fcs[(std::size_t)i], golden, 52);
     }

@@ -17,6 +17,9 @@ below is a thin wrapper over it.
   csfma_client.py stats --serve BIN            (or --socket/--tcp)
       fetch the live metrics snapshot (`stats` request) and print it
 
+  csfma_client.py shutdown --socket PATH       (or --tcp HOST:PORT)
+      stop a listening daemon: it drains its work, says bye and exits
+
   csfma_client.py selftest --serve BIN [--transport stdio|socket|tcp|both|all]
       the end-to-end conformance suite CI runs: cache-hit byte-identity,
       cooperative cancel, malformed-input replies, proto-version gating,
@@ -637,8 +640,8 @@ def selftest_socket(check, serve):
             r = client.submit(**BATCH)
             check.ok(r.terminal.get("cache") == "hit",
                      "cache shared across connections")
-            bye = client.shutdown()
-            check.ok(bye["type"] == "bye", "socket shutdown answers bye")
+        check.ok(main(["shutdown", "--socket", path]) == 0,
+                 "the shutdown verb gets bye over the socket")
         rc = proc.wait(timeout=60)
         check.ok(rc == 0, f"daemon exit status 0 (got {rc})")
     finally:
@@ -937,6 +940,13 @@ def cmd_stats(args):
     return 0 if st["type"] == "stats" else 1
 
 
+def cmd_shutdown(args):
+    with _make_client(args) as client:
+        bye = client.shutdown()
+    print(json.dumps(bye, sort_keys=True))
+    return 0 if bye["type"] == "bye" else 1
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -987,6 +997,12 @@ def main(argv=None):
     sg.add_argument("--pretty", action="store_true",
                     help="indent the JSON output")
     sg.set_defaults(fn=cmd_stats)
+
+    sd = sub.add_parser("shutdown", help="stop a listening daemon")
+    where = sd.add_mutually_exclusive_group(required=True)
+    where.add_argument("--socket", help="the daemon's --socket path")
+    where.add_argument("--tcp", help="the daemon's --tcp HOST:PORT")
+    sd.set_defaults(fn=cmd_shutdown)
 
     args = p.parse_args(argv)
     if args.cmd in ("submit", "sweep", "stats") and not (

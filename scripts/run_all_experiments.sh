@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
 # Regenerate every table, figure, ablation and extension experiment.
-# All artifacts of one invocation land in a single timestamped directory:
+# The reports of one invocation land in a single timestamped directory:
 #
-#   results/<UTC timestamp>/
-#     reports/   csfma-report-v1 JSON per experiment (check_report.py)
-#     bench/     BENCH_<name>.json host-perf baselines (bench_compare.py)
+#   results/<UTC timestamp>/reports/   csfma-report-v1 JSON per experiment
 #
-# so successive runs accumulate side by side and
-#   python3 scripts/bench_compare.py --trend results
-# prints the performance history across them.
+# so successive runs accumulate side by side.  Speed comparisons between
+# versions belong to scripts/perf_gate.py, not to these reports.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,32 +43,24 @@ if ((${#missing[@]})); then
 fi
 
 outdir="results/$(date -u +%Y%m%dT%H%M%SZ)"
-mkdir -p "$outdir/reports" "$outdir/bench"
-echo "collecting artifacts under $outdir/"
+mkdir -p "$outdir/reports"
+echo "collecting reports under $outdir/"
 
 for b in "${benches[@]}"; do
   echo; echo "=================== $b ==================="
-  "./build/bench/$b" --json "$outdir/reports/$b.json" \
-                     --bench-out "$outdir/bench/BENCH_$b.json"
+  "./build/bench/$b" --json "$outdir/reports/$b.json"
 done
 
 echo; echo "=================== engine throughput ==================="
 ./build/bench/engine_throughput 200000 4 \
-    --json "$outdir/reports/engine_throughput.json" \
-    --bench-out "$outdir/bench/BENCH_engine_throughput.json"
+    --json "$outdir/reports/engine_throughput.json"
 
 echo; echo "=================== microbenchmarks ==================="
-./build/bench/micro_units --bench-out "$outdir/bench/BENCH_micro_units.json" \
-    --benchmark_min_time=0.05
-./build/bench/micro_flow --bench-out "$outdir/bench/BENCH_micro_flow.json" \
-    --benchmark_min_time=0.05
+./build/bench/micro_units --benchmark_min_time=0.05
+./build/bench/micro_flow --benchmark_min_time=0.05
 
 echo; echo "=================== validation ==================="
-python3 scripts/check_report.py "$outdir"/reports/*.json \
-                                "$outdir"/bench/BENCH_*.json
+python3 scripts/check_report.py "$outdir"/reports/*.json
 
 echo
-echo "artifacts in $outdir/ — compare against an earlier run with"
-echo "  python3 scripts/bench_compare.py <old>/bench/BENCH_x.json $outdir/bench/BENCH_x.json"
-echo "or see the history with"
-echo "  python3 scripts/bench_compare.py --trend results"
+echo "reports in $outdir/"

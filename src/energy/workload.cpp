@@ -75,6 +75,42 @@ void RecurrenceChainSource::fill_chain(std::uint64_t chain,
   }
 }
 
+std::vector<PFloat> recurrence_finals(
+    EngineConfig cfg, const std::vector<RecurrenceInputs>& inputs, int depth,
+    EventLog* events) {
+  RecurrenceChainSource src(inputs, depth);
+  cfg.shard_ops = src.ops_per_chain();
+  cfg.rm = Round::HalfAwayFromZero;
+  SimEngine engine(cfg);
+  BatchResult r = engine.run_chained(src);
+  if (events != nullptr) *events = r.events;
+  const std::uint64_t opc = src.ops_per_chain();
+  std::vector<PFloat> finals;
+  finals.reserve(inputs.size());
+  for (std::size_t run = 0; run < inputs.size(); ++run)
+    finals.push_back(r.results[(run + 1) * (std::size_t)opc - 1]);
+  return finals;
+}
+
+PFloat discrete_recurrence(const RecurrenceInputs& in, const FloatFormat& fmt,
+                           int depth) {
+  PFloat b1 = PFloat::from_double(fmt, in.b1.to_double());
+  PFloat b2 = PFloat::from_double(fmt, in.b2.to_double());
+  PFloat x3 = PFloat::from_double(fmt, in.x[0].to_double());
+  PFloat x2 = PFloat::from_double(fmt, in.x[1].to_double());
+  PFloat x1 = PFloat::from_double(fmt, in.x[2].to_double());
+  for (int i = 3; i <= depth; ++i) {
+    PFloat t = PFloat::add(PFloat::mul(b2, x2, fmt, Round::NearestEven), x3,
+                           fmt, Round::NearestEven);
+    PFloat x = PFloat::add(PFloat::mul(b1, x1, fmt, Round::NearestEven), t,
+                           fmt, Round::NearestEven);
+    x3 = x2;
+    x2 = x1;
+    x1 = x;
+  }
+  return x1;
+}
+
 ActivityMeasurement measure_recurrence(const UnitFactory& make_unit,
                                        std::uint64_t seed, std::uint64_t ops) {
   CSFMA_CHECK(ops > 0);

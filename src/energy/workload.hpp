@@ -63,6 +63,22 @@ class RecurrenceChainSource final : public ChainSource {
 /// Chain length of the measured recurrence: Table II's x[50].
 inline constexpr int kRecurrenceDepth = 50;
 
+/// Final x[depth] of every run's recurrence through cfg.unit, chained
+/// natively by SimEngine::run_chained, one chain per shard, read out half
+/// away from zero (the CS units' deferred readout rule).  The caller's
+/// `cfg` carries threads, backend, profiler and event capacity; shard_ops
+/// and rm are set here.  `events`, when given, receives the run's merged
+/// event log.  Fig 14's accuracy ladder.
+std::vector<PFloat> recurrence_finals(
+    EngineConfig cfg, const std::vector<RecurrenceInputs>& inputs, int depth,
+    EventLog* events = nullptr);
+
+/// x[depth] of one run through the discrete pipeline at format `fmt`: a
+/// rounding per multiply and per add, the CoreGen baseline.  binary64 and
+/// binary68 are Fig 14's 64b and 68b rows; binary75 is its golden.
+PFloat discrete_recurrence(const RecurrenceInputs& in, const FloatFormat& fmt,
+                           int depth);
+
 /// Builds the unit under measurement, wired to the recorder that counts
 /// its toggles (e.g. make_fma_unit(kind, rec) or make_cs_unit(geometry,
 /// rec)).

@@ -290,7 +290,8 @@ void ServiceSession::on_submit(const RequestCtx& ctx,
     }
     if (!hit && reject_if_busy_locked("submit", ctx)) return;
     auto j = std::make_unique<Job>();
-    j->id = "job-" + std::to_string(next_job_++);
+    j->seq = next_job_++;
+    j->id = "job-" + std::to_string(j->seq);
     j->request_id = ctx.id;
     j->trace_id = ctx.trace_id;
     j->parent_span = ctx.parent_span;
@@ -320,6 +321,10 @@ void ServiceSession::on_submit(const RequestCtx& ctx,
     finish_request("submit", "cache_hit", ctx, job->id);
     emit(result_reply(ctx.id, job->id, /*cache_hit=*/true, 0.0, *hit,
                       ctx.trace_id, ctx.parent_span));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      retire_locked(*job);
+    }
     idle_cv_.notify_all();
     return;
   }
@@ -345,7 +350,8 @@ void ServiceSession::on_sweep(const RequestCtx& ctx,
     // the worker rather than inline).
     if (reject_if_busy_locked("sweep", ctx)) return;
     auto j = std::make_unique<Job>();
-    j->id = "job-" + std::to_string(next_job_++);
+    j->seq = next_job_++;
+    j->id = "job-" + std::to_string(j->seq);
     j->request_id = ctx.id;
     j->trace_id = ctx.trace_id;
     j->parent_span = ctx.parent_span;
@@ -368,12 +374,37 @@ void ServiceSession::on_sweep(const RequestCtx& ctx,
   enqueue(job);
 }
 
+JobStatus ServiceSession::status_of(const Job& j) {
+  JobStatus s;
+  s.job = j.id;
+  s.state = state_name(j.state.load(std::memory_order_relaxed));
+  s.ops_done = j.ops_done.load(std::memory_order_relaxed);
+  s.ops_total = j.ops_total;
+  s.cache_key = j.cache_key;
+  s.points_done = j.points_done.load(std::memory_order_relaxed);
+  s.points_total = j.points.size();
+  return s;
+}
+
+void ServiceSession::retire_locked(Job& job) {
+  retired_.emplace_back(job.seq, status_of(job));
+  if (retired_.size() > kRetiredJobs) retired_.pop_front();
+  by_id_.erase(job.id);
+  jobs_.erase(std::find_if(jobs_.begin(), jobs_.end(),
+                           [&](const auto& j) { return j.get() == &job; }));
+}
+
 void ServiceSession::on_status(const RequestCtx& ctx,
                                const StatusRequest& req) {
-  std::vector<JobStatus> statuses;
+  std::vector<std::pair<std::uint64_t, JobStatus>> found;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!req.job.empty() && by_id_.find(req.job) == by_id_.end()) {
+    for (const auto& r : retired_)
+      if (req.job.empty() || r.second.job == req.job) found.push_back(r);
+    for (const auto& j : jobs_)
+      if (req.job.empty() || j->id == req.job)
+        found.emplace_back(j->seq, status_of(*j));
+    if (!req.job.empty() && found.empty()) {
       m_errors->add();
       finish_request("status", "error", ctx);
       emit(error_reply(ctx.id, ServiceError::UnknownJob,
@@ -381,72 +412,80 @@ void ServiceSession::on_status(const RequestCtx& ctx,
                        ctx.parent_span));
       return;
     }
-    for (const auto& j : jobs_) {
-      if (!req.job.empty() && j->id != req.job) continue;
-      JobStatus s;
-      s.job = j->id;
-      s.state = state_name(j->state.load(std::memory_order_relaxed));
-      s.ops_done = j->ops_done.load(std::memory_order_relaxed);
-      s.ops_total = j->ops_total;
-      s.cache_key = j->cache_key;
-      s.points_done = j->points_done.load(std::memory_order_relaxed);
-      s.points_total = j->points.size();
-      statuses.push_back(std::move(s));
-    }
   }
+  std::sort(found.begin(), found.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<JobStatus> statuses;
+  statuses.reserve(found.size());
+  for (auto& f : found) statuses.push_back(std::move(f.second));
   finish_request("status", "ok", ctx);
   emit(status_reply(ctx.id, statuses, ctx.trace_id, ctx.parent_span));
 }
 
 void ServiceSession::on_cancel(const RequestCtx& ctx,
                                const CancelRequest& req) {
-  Job* job = nullptr;
-  JobState seen;
-  bool newly_cancelled = false;
+  // A worker may retire a running job as soon as mu_ is released, so only
+  // a job cancelled here while queued (which no worker will touch again)
+  // is used past the lock.
+  Job* cancelled = nullptr;
+  std::string job_id, seen;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = by_id_.find(req.job);
-    if (it == by_id_.end()) {
-      m_errors->add();
-      finish_request("cancel", "error", ctx);
-      emit(error_reply(ctx.id, ServiceError::UnknownJob,
-                       "no such job \"" + req.job + "\"", ctx.trace_id,
-                       ctx.parent_span));
-      return;
+    if (it != by_id_.end()) {
+      Job* job = it->second;
+      const JobState state = job->state.load(std::memory_order_relaxed);
+      job_id = job->id;
+      seen = state_name(state);
+      job->abort.store(true, std::memory_order_relaxed);
+      if (state == JobState::Queued) {
+        // Never started: cancel right here and take it out of the pending
+        // queue, so the depth gauge never counts a corpse (the pool's
+        // skip-on-pop check stays as a belt-and-braces fallback).
+        job->state.store(JobState::Cancelled, std::memory_order_relaxed);
+        auto qit = std::find(queue_.begin(), queue_.end(), job);
+        if (qit != queue_.end()) queue_.erase(qit);
+        m_queue_depth->set((double)queue_.size());
+        ++cancelled_;
+        cancelled = job;
+      }
+      // Running jobs stop at the next shard boundary; run_job() emits the
+      // cancelled reply.  (A cancel that lands after the last shard is too
+      // late by definition — the job completes normally.)
+    } else {
+      auto r = std::find_if(
+          retired_.begin(), retired_.end(),
+          [&](const auto& done) { return done.second.job == req.job; });
+      if (r == retired_.end()) {
+        m_errors->add();
+        finish_request("cancel", "error", ctx);
+        emit(error_reply(ctx.id, ServiceError::UnknownJob,
+                         "no such job \"" + req.job + "\"", ctx.trace_id,
+                         ctx.parent_span));
+        return;
+      }
+      job_id = r->second.job;
+      seen = r->second.state;
     }
-    job = it->second;
-    seen = job->state.load(std::memory_order_relaxed);
-    job->abort.store(true, std::memory_order_relaxed);
-    if (seen == JobState::Queued) {
-      // Never started: cancel right here and take it out of the pending
-      // queue, so the depth gauge never counts a corpse (the pool's
-      // skip-on-pop check stays as a belt-and-braces fallback).
-      job->state.store(JobState::Cancelled, std::memory_order_relaxed);
-      auto qit = std::find(queue_.begin(), queue_.end(), job);
-      if (qit != queue_.end()) queue_.erase(qit);
-      m_queue_depth->set((double)queue_.size());
-      ++cancelled_;
-      newly_cancelled = true;
-    }
-    // Running jobs stop at the next shard boundary; run_job() emits the
-    // cancelled reply.  (A cancel that lands after the last shard is too
-    // late by definition — the job completes normally.)
   }
   if (cfg_.log != nullptr) {
     cfg_.log->line("cancel")
         .det("conn", cfg_.conn)
         .det("req", ctx.req)
-        .det("job", job->id)
-        .det("state", state_name(seen));
+        .det("job", job_id)
+        .det("state", seen);
   }
-  finish_request("cancel", "ok", ctx, job->id);
-  emit(cancel_ok_reply(ctx.id, job->id, state_name(seen), ctx.trace_id,
-                       ctx.parent_span));
-  if (newly_cancelled) {
+  finish_request("cancel", "ok", ctx, job_id);
+  emit(cancel_ok_reply(ctx.id, job_id, seen, ctx.trace_id, ctx.parent_span));
+  if (cancelled != nullptr) {
     m_cancelled->add();
-    finish_request(job->type, "cancelled", job->ctx(), job->id);
-    emit(cancelled_reply(job->request_id, job->id, 0, job->trace_id,
-                         job->parent_span));
+    finish_request(cancelled->type, "cancelled", cancelled->ctx(), job_id);
+    emit(cancelled_reply(cancelled->request_id, job_id, 0,
+                         cancelled->trace_id, cancelled->parent_span));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      retire_locked(*cancelled);
+    }
     idle_cv_.notify_all();
   }
 }
@@ -554,6 +593,7 @@ void ServiceSession::worker_loop(int worker) {
     run_job(*job, worker);
     {
       std::lock_guard<std::mutex> lock(mu_);
+      retire_locked(*job);
       --active_;
     }
     idle_cv_.notify_all();

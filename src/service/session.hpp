@@ -132,6 +132,7 @@ class ServiceSession {
   };
 
   struct Job {
+    std::uint64_t seq = 0;   // the N of the id
     std::string id;          // service-assigned "job-N"
     std::string request_id;  // client correlation id of the submit/sweep
     std::string trace_id;    // client trace id, echoed on every job line
@@ -181,6 +182,11 @@ class ServiceSession {
   /// is full, in which case the caller answers `busy` instead of queueing.
   bool reject_if_busy_locked(const char* type, const RequestCtx& ctx);
   void enqueue(Job* job);
+  /// Take a job whose terminal reply has been written out of the live set
+  /// (call with mu_ held; frees the job): its final status joins the ring
+  /// of the last kRetiredJobs, which `status` and `cancel` still answer.
+  void retire_locked(Job& job);
+  static JobStatus status_of(const Job& job);
   void mark_cancelled(Job& job);
   /// Adjust the running-sweep count and mirror it into the
   /// service.sweep.active gauge.
@@ -218,8 +224,12 @@ class ServiceSession {
   mutable std::mutex mu_;  // jobs_, queue_, flags, terminal counters
   std::condition_variable queue_cv_;
   std::condition_variable idle_cv_;
-  std::vector<std::unique_ptr<Job>> jobs_;  // insertion order, never removed
+  static constexpr std::size_t kRetiredJobs = 64;
+  std::vector<std::unique_ptr<Job>> jobs_;  // live jobs, in submission order
   std::unordered_map<std::string, Job*> by_id_;
+  /// (seq, terminal status) of the last kRetiredJobs retired jobs, oldest
+  /// first.
+  std::deque<std::pair<std::uint64_t, JobStatus>> retired_;
   std::deque<Job*> queue_;
   int active_ = 0;
   int active_sweeps_ = 0;

@@ -486,8 +486,8 @@ TEST(SimEngine, BackendEquivalenceOnRandomStream) {
 
 // A worker request beyond the host's hardware threads is clamped to it —
 // oversubscribing a 1-thread CI box made `batch_parallel` slower than
-// `batch_1t` — and the clamp is visible to callers (the bench harness
-// records it in baseline meta).
+// `batch_1t` — and the clamp is visible to callers (engine_throughput
+// records it as `threads_clamped` in its report meta).
 TEST(SimEngine, WorkerRequestClampsToHardwareThreads) {
   const unsigned hwc = std::thread::hardware_concurrency();
   const int hw = hwc == 0 ? 1 : (int)hwc;

@@ -302,6 +302,50 @@ TEST(ServiceSession, StatusTracksJobLifecycle) {
   EXPECT_EQ(errors[0].find("code")->as_string(), "unknown_job");
 }
 
+TEST(ServiceSession, RetiresFinishedJobs) {
+  // A job is dropped once its terminal reply is written; only the last 64
+  // terminal statuses stay answerable, so a long-lived connection's
+  // memory no longer grows with every request.
+  LineSink sink;
+  ServiceConfig cfg;
+  ServiceSession session(cfg, sink.fn());
+  const char* submit =
+      R"({"type":"submit","id":"s","unit":"classic","seed":3,"ops":64})";
+  session.handle_line(submit);
+  session.wait_idle();
+  for (int i = 1; i < 500; ++i) session.handle_line(submit);
+  session.wait_idle();
+  EXPECT_EQ(sink.of_type("result").size(), 500u);
+
+  session.handle_line(R"({"type":"status","id":"all"})");
+  auto status = sink.of_type("status");
+  ASSERT_EQ(status.size(), 1u);
+  const auto& jobs = status[0].find("jobs")->as_array();
+  EXPECT_LE(jobs.size(), 64u);
+  ASSERT_FALSE(jobs.empty());
+  EXPECT_EQ(jobs.back().find("job")->as_string(), "job-500");
+
+  session.handle_line(R"({"type":"status","id":"last","job":"job-500"})");
+  status = sink.of_type("status");
+  ASSERT_EQ(status.size(), 2u);
+  const auto& last = status[1].find("jobs")->as_array();
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].find("state")->as_string(), "done");
+  EXPECT_EQ(last[0].find("ops_done")->as_int(), 64);
+
+  session.handle_line(R"({"type":"cancel","id":"c","job":"job-500"})");
+  auto cancel = sink.of_type("cancel_ok");
+  ASSERT_EQ(cancel.size(), 1u);
+  EXPECT_EQ(cancel[0].find("state")->as_string(), "done");
+
+  session.handle_line(R"({"type":"status","id":"first","job":"job-1"})");
+  session.handle_line(R"({"type":"cancel","id":"c1","job":"job-1"})");
+  auto errors = sink.of_type("error");
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0].find("code")->as_string(), "unknown_job");
+  EXPECT_EQ(errors[1].find("code")->as_string(), "unknown_job");
+}
+
 TEST(ServiceSession, MalformedLinesGetTypedErrorsAndCount) {
   LineSink sink;
   ServiceConfig cfg;

@@ -200,10 +200,9 @@ TEST(EngineProgress, LongIntervalStillEmitsFinalBeat) {
 // -------------------------------------------------------------- harness
 
 TEST(BenchHarness, ExtractHarnessArgsStripsFlags) {
-  const char* raw[] = {"bench",     "1000",   "--reps", "9", "--warmup",
-                       "2",         "--progress", "--no-hw-counters",
-                       "--bench-out", "out.json", "4"};
-  int argc = 11;
+  const char* raw[] = {"bench",      "1000", "--reps", "9", "--warmup", "2",
+                       "--progress", "--no-hw-counters", "4"};
+  int argc = 9;
   std::vector<char*> argv;
   for (const char* a : raw) argv.push_back(const_cast<char*>(a));
   HarnessOptions o = extract_harness_args(argc, argv.data());
@@ -211,7 +210,6 @@ TEST(BenchHarness, ExtractHarnessArgsStripsFlags) {
   EXPECT_EQ(o.warmup, 2);
   EXPECT_TRUE(o.progress);
   EXPECT_FALSE(o.hw_counters);
-  EXPECT_EQ(o.bench_out, "out.json");
   // Positionals survive in order.
   ASSERT_EQ(argc, 3);
   EXPECT_STREQ(argv[0], "bench");
@@ -223,7 +221,6 @@ TEST(BenchHarness, MeasureRunsWarmupPlusReps) {
   HarnessOptions o;
   o.reps = 3;
   o.warmup = 2;
-  o.bench_out = "-";
   BenchHarness h("unit_test", o);
   int calls = 0;
   RobustStats st = h.measure("phase", [&] { ++calls; }, 7);
@@ -239,7 +236,6 @@ TEST(BenchHarness, AttachEmitsHostTimingAndSection) {
   HarnessOptions o;
   o.reps = 2;
   o.warmup = 0;
-  o.bench_out = "-";
   BenchHarness h("unit_test", o);
   h.measure("p", [] {}, 10);
   Report report("unit_test");
@@ -249,7 +245,6 @@ TEST(BenchHarness, AttachEmitsHostTimingAndSection) {
   EXPECT_NE(json.find("\"host.p.ops_per_sec\""), std::string::npos);
   EXPECT_NE(json.find("\"bench_host_perf\""), std::string::npos);
   EXPECT_NE(json.find("\"samples_s\""), std::string::npos);
-  EXPECT_EQ(h.write_baseline(), "");  // "-" disables the baseline
 }
 
 }  // namespace
