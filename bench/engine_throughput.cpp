@@ -1,4 +1,4 @@
-// SimEngine throughput benchmark (micro_units-style, engine layer): streams
+// SimEngine throughput benchmark (engine layer): streams
 // a large random operand batch through the PCS-FMA simulator single- and
 // multi-threaded, reports per-shard and aggregate ops/sec, and verifies the
 // engine's determinism contract — bit-identical results and equal merged

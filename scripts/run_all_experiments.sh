@@ -33,7 +33,7 @@ benches=(table1_synthesis fig13_latency table2_energy fig14_accuracy fig15_hls
 # Fail up front, with the full list, if the build produced no binary for
 # any requested bench (e.g. a stale build directory from an older tree).
 missing=()
-for b in "${benches[@]}" engine_throughput micro_units micro_flow; do
+for b in "${benches[@]}" engine_throughput; do
   [[ -x "./build/bench/$b" ]] || missing+=("$b")
 done
 if ((${#missing[@]})); then
@@ -54,10 +54,6 @@ done
 echo; echo "=================== engine throughput ==================="
 ./build/bench/engine_throughput 200000 4 \
     --json "$outdir/reports/engine_throughput.json"
-
-echo; echo "=================== microbenchmarks ==================="
-./build/bench/micro_units --benchmark_min_time=0.05
-./build/bench/micro_flow --benchmark_min_time=0.05
 
 echo; echo "=================== validation ==================="
 python3 scripts/check_report.py "$outdir"/reports/*.json

@@ -91,7 +91,7 @@ class VectorSource final : public OperandSource {
 };
 
 /// Seeded random triples: triple i is a pure function of (seed, i), with
-/// exponents uniform in [emin, emax] (the micro_units operand model).
+/// exponents uniform in [emin, emax].
 class RandomTripleSource final : public OperandSource {
  public:
   RandomTripleSource(std::uint64_t seed, std::uint64_t n, int emin = -8,

@@ -1,5 +1,6 @@
 #include "engine/slice.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/check.hpp"
@@ -59,16 +60,6 @@ void unpack_words(const std::uint64_t* planes, int width_bits, int n,
     transpose64(tmp);
     for (int L = 0; L < n; ++L) lanes[L * stride_words + wc] = tmp[L];
   }
-}
-
-void pack(const CsWord* vals, int n, int width_bits, std::uint64_t* planes) {
-  static_assert(sizeof(CsWord) == CsWord::kWords * sizeof(std::uint64_t));
-  pack_words(vals->data(), CsWord::kWords, n, width_bits, planes);
-}
-
-void unpack(const std::uint64_t* planes, int width_bits, int n,
-            CsWord* vals) {
-  unpack_words(planes, width_bits, n, vals->data(), CsWord::kWords);
 }
 
 void compress3(int width, const std::uint64_t* a, const std::uint64_t* b,
@@ -206,6 +197,98 @@ void lza_estimate(int width, const std::uint64_t* s, const std::uint64_t* c,
     const int hit = (int)((carry_in[hit_pos] >> L) & 1u);
     const int e = run - hit;
     est[L] = (std::uint16_t)(e < 0 ? 0 : e);
+  }
+}
+
+void tile_products(const TileGeometry& g, const std::uint64_t* cand,
+                   std::uint64_t mult, int lane, std::int64_t* tiles) {
+  const int n_cand = g.cand_slices(), n_mult = g.mult_slices();
+  for (int j = 0; j < n_cand; ++j) {
+    const int c_lo = j * g.cand_chunk;
+    const int c_len = std::min(g.cand_chunk, g.cand_width - c_lo);
+    std::int64_t c_val = (std::int64_t)wide_read_bits(cand, c_lo, c_len);
+    if (j == n_cand - 1 && ((c_val >> (c_len - 1)) & 1))
+      c_val -= (std::int64_t)1 << c_len;
+    for (int i = 0; i < n_mult; ++i) {
+      const int b_lo = i * g.mult_chunk;
+      const int b_len = std::min(g.mult_chunk, g.mult_width - b_lo);
+      const std::int64_t b_val =
+          (std::int64_t)((mult >> b_lo) & ((std::uint64_t{1} << b_len) - 1));
+      tiles[(j * n_mult + i) * kLanes + lane] = c_val * b_val;
+    }
+  }
+}
+
+void tiled_multiply(const TileGeometry& g, const std::int64_t* tiles, int n,
+                    std::uint64_t* rows, std::uint64_t* out_s,
+                    std::uint64_t* out_c, CsaTreeStats* stats) {
+  CSFMA_CHECK(n >= 0 && n <= kLanes);
+  CSFMA_CHECK(g.offset >= 0 &&
+              g.offset + g.cand_width + g.mult_width <= g.width + 1);
+  // The rows live at the product offset and above, so the tree only runs
+  // over the top row_planes() planes of the window.
+  const int n_mult = g.mult_slices(), total = g.tiles();
+  const int prod_w = g.row_planes();
+  const auto row = [&](int r) { return rows + r * prod_w; };
+  for (int r = 0; r < total; ++r) {
+    std::uint64_t tp[kLanes];
+    pack_words((const std::uint64_t*)(tiles + r * kLanes), 1, n, 64, tp);
+    const int t = (r / n_mult) * g.cand_chunk + (r % n_mult) * g.mult_chunk;
+    std::uint64_t* rw = row(r);
+    const int top = std::min(t + 64, prod_w);
+    for (int b = 0; b < t; ++b) rw[b] = 0;
+    for (int b = t; b < top; ++b) rw[b] = tp[b - t];
+    for (int b = top; b < prod_w; ++b) rw[b] = tp[63];
+  }
+  if (stats != nullptr) *stats = CsaTreeStats{total, 0, 0};
+  int nr = total;
+  while (nr > 2) {
+    int i = 0, o = 0;
+    for (; i + 3 <= nr; i += 3, o += 2) {
+      const std::uint64_t* ra = row(i);
+      const std::uint64_t* rb = row(i + 1);
+      const std::uint64_t* rc = row(i + 2);
+      std::uint64_t* os = row(o);
+      std::uint64_t* oc = row(o + 1);
+      std::uint64_t prev_maj = 0;  // carry into the product lsb is 0
+      for (int b = 0; b < prod_w; ++b) {
+        const std::uint64_t x = ra[b], y = rb[b], z = rc[b];
+        os[b] = x ^ y ^ z;  // reads precede writes: o <= i, o+1 <= i+1
+        oc[b] = prev_maj;
+        prev_maj = (x & y) | (z & (x | y));  // top majority drops (mod 2^W)
+      }
+      if (stats != nullptr) stats->compressors += g.width;
+    }
+    for (; i < nr; ++i, ++o) {
+      if (o != i) std::copy(row(i), row(i) + prod_w, row(o));
+    }
+    nr = o;
+    if (stats != nullptr) ++stats->levels;
+  }
+  for (int b = 0; b < g.offset; ++b) out_s[b] = out_c[b] = 0;
+  std::copy(row(0), row(0) + prod_w, out_s + g.offset);
+  if (nr > 1) {
+    std::copy(row(1), row(1) + prod_w, out_c + g.offset);
+  } else {
+    std::fill(out_c + g.offset, out_c + g.width, 0);
+  }
+}
+
+void cs_negate(int width, std::uint64_t lanes, std::uint64_t* s,
+               std::uint64_t* c) {
+  // -x = ~S + ~C + 2 is one 3:2 layer: its sum plane is S^C with bit 1
+  // flipped, its carry plane ~(S|C) shifted up one, with ~(S&C) at bit 2
+  // (the constant's majority).  Descending, so bit b-1 is still the input
+  // when bit b reads it.
+  if (lanes == 0) return;
+  for (int b = width - 1; b >= 0; --b) {
+    const std::uint64_t sb = s[b], cb = c[b];
+    const std::uint64_t ns = b == 1 ? ~(sb ^ cb) : sb ^ cb;
+    const std::uint64_t nc = b == 0   ? 0
+                             : b == 2 ? ~(s[1] & c[1])
+                                      : ~(s[b - 1] | c[b - 1]);
+    s[b] = (sb & ~lanes) | (ns & lanes);
+    c[b] = (cb & ~lanes) | (nc & lanes);
   }
 }
 

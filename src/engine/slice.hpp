@@ -31,7 +31,7 @@
 
 #include <cstdint>
 
-#include "cs/cs_num.hpp"
+#include "cs/csa_tree.hpp"
 
 namespace csfma::slice {
 
@@ -54,10 +54,6 @@ void pack_words(const std::uint64_t* lanes, int stride_words, int n,
 /// arrays.  Words beyond ceil(width_bits/64) of each lane are untouched.
 void unpack_words(const std::uint64_t* planes, int width_bits, int n,
                   std::uint64_t* lanes, int stride_words);
-
-/// CsWord-array conveniences for the datapath simulators.
-void pack(const CsWord* vals, int n, int width_bits, std::uint64_t* planes);
-void unpack(const std::uint64_t* planes, int width_bits, int n, CsWord* vals);
 
 // ---- bit-parallel kernels ------------------------------------------------
 //
@@ -108,5 +104,54 @@ void leading_sign_run(int width, const std::uint64_t* bin, int n,
 /// words.  Only lanes [0, n) are written.
 void lza_estimate(int width, const std::uint64_t* s, const std::uint64_t* c,
                   int n, std::uint16_t* est, std::uint64_t* scratch);
+
+// ---- the plane multiplier (cs/csa_tree.hpp multiply_dsp_tiled) -----------
+//
+// One multiplier serves every fused unit's block: the per-lane part, the
+// DSP tile products, stays plain int64 arithmetic; the partial-product tree
+// runs across lanes.
+
+/// A multiply_dsp_tiled call's lane-invariant shape: a `cand_width`-digit
+/// binary multiplicand (top slice signed) in `cand_chunk`-bit slices times
+/// an unsigned `mult_width`-bit multiplier in `mult_chunk`-bit slices, the
+/// product placed at `offset` in a `width`-bit window.
+struct TileGeometry {
+  int cand_width, cand_chunk;
+  int mult_width, mult_chunk;
+  int width, offset;
+
+  constexpr int cand_slices() const {
+    return (cand_width + cand_chunk - 1) / cand_chunk;
+  }
+  constexpr int mult_slices() const {
+    return (mult_width + mult_chunk - 1) / mult_chunk;
+  }
+  /// Tile (= tree row) count.
+  constexpr int tiles() const { return cand_slices() * mult_slices(); }
+  /// Planes per tree row: the window at and above the product's lsb.
+  constexpr int row_planes() const { return width - offset; }
+};
+
+/// Lane `lane`'s tile products: tiles[r * kLanes + lane] for tile r in
+/// multiply_dsp_tiled's row order (multiplicand slice outer).  `cand` is
+/// the lane's multiplicand as a little-endian word array covering
+/// cand_width bits; `mult` its multiplier.
+void tile_products(const TileGeometry& g, const std::uint64_t* cand,
+                   std::uint64_t mult, int lane, std::int64_t* tiles);
+
+/// The tree of multiply_dsp_tiled for lanes [0, n): tile r becomes a row
+/// at weight offset + c_lo + b_lo with sign fill above, and the rows are
+/// reduced with reduce_rows_inplace's exact 3:2 schedule.  out_s / out_c
+/// receive the product's sum and carry planes over the whole window (zero
+/// below `offset`); `stats` (optional) is filled as the scalar call fills
+/// it.  `rows` is caller scratch of tiles() * row_planes() planes.
+void tiled_multiply(const TileGeometry& g, const std::int64_t* tiles, int n,
+                    std::uint64_t* rows, std::uint64_t* out_s,
+                    std::uint64_t* out_c, CsaTreeStats* stats = nullptr);
+
+/// cs_negate (cs/cs_num.hpp), in place, on the lanes set in `lanes`; the
+/// other lanes keep their planes.
+void cs_negate(int width, std::uint64_t lanes, std::uint64_t* s,
+               std::uint64_t* c);
 
 }  // namespace csfma::slice

@@ -4,6 +4,8 @@
 
 #include "cs/csa_tree.hpp"
 #include "cs/lza.hpp"
+#include "engine/slice.hpp"
+#include "fma/sliced_batch.hpp"
 #include "introspect/event_log.hpp"
 #include "introspect/signal_tap.hpp"
 
@@ -14,6 +16,37 @@ namespace {
 /// 106b carry-save product plus guard/round — the paper's "161b adder".
 constexpr int kWindow = 161;
 constexpr int kProductLsb = 0;
+/// The 53x53 multiplier in DSP tiles: C's significand widened to 54 digits
+/// (so the signed window keeps it positive) in 17-bit slices times B's in
+/// 24-bit slices, 4 x 3 = 12 tiles.
+constexpr slice::TileGeometry kMultiplier{54, 17, 53, 24, kWindow,
+                                          kProductLsb};
+/// Largest |e_A - e_P| the addend pre-shift places in the window; beyond
+/// it the adder, LZA and normalization stages stay idle.
+constexpr int kMaxAlign = 60;
+/// Planes per lane of an aligned addend row.
+constexpr int kWindowWords = (kWindow + 63) / 64;
+/// Leading sign run at which the event log reports a cancellation.
+constexpr int kCancellationRun = 100;
+
+/// The pre-shifted addend row for e_A - e_P = d: A's signed significand
+/// with its lsb d + 52 above the product's, in the window (mod 2^kWindow).
+CsWord place_addend(const PFloat& a, int d) {
+  const int ofs = d + 52;
+  WideUint<8> a_val = WideUint<8>(WideUint<2>(a.sig()));
+  if (a.sign()) a_val = -a_val;
+  const WideUint<8> placed = ofs >= 0 ? a_val << ofs : a_val >> -ofs;
+  return CsWord(placed).truncated(kWindow);
+}
+
+/// May this operation go through the sliced block?  Only operations that
+/// run the whole activity datapath: three normal operands (the others
+/// observe no probe) and an addend the pre-shift reaches (the others
+/// observe only the multiplier's).
+bool sliceable(const OperandTriple& t) {
+  return t.a.is_normal() && t.b.is_normal() && t.c.is_normal() &&
+         std::abs(t.a.exp() - (t.b.exp() + t.c.exp())) <= kMaxAlign;
+}
 }  // namespace
 
 PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
@@ -28,10 +61,12 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
     // Multiplier: 53x53 in carry-save (the classic LUT/DSP CSA tree).
     // The multiplicand is unsigned — widen by one digit so the signed
     // window semantics keep it positive.
-    CsNum mant_c = CsNum::from_binary(54, CsWord(WideUint<7>(WideUint<2>(c.sig()))));
+    const slice::TileGeometry& m = kMultiplier;
+    CsNum mant_c = CsNum::from_binary(
+        m.cand_width, CsWord(WideUint<7>(WideUint<2>(c.sig()))));
     CsNum product = multiply_dsp_tiled(
-        mant_c, CsWord(WideUint<7>(WideUint<2>(b.sig()))), 53, 17, 24, kWindow,
-        kProductLsb, nullptr);
+        mant_c, CsWord(WideUint<7>(WideUint<2>(b.sig()))), m.mult_width,
+        m.cand_chunk, m.mult_chunk, m.width, m.offset, nullptr);
     if (activity_ != nullptr) {
       activity_->probe("mul.sum", "mul").observe(product.sum());
       activity_->probe("mul.carry", "mul").observe(product.carry());
@@ -41,14 +76,9 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
       tap->tap("mul.sum", product.sum(), kWindow);
       tap->tap("mul.carry", product.carry(), kWindow);
     }
-    if (std::abs(d) <= 60) {
+    if (std::abs(d) <= kMaxAlign) {
       // Addend pre-shift (runs in parallel with the multiply).
-      const int ofs = d + 52;  // addend lsb relative to product lsb
-      WideUint<8> a_val((std::uint64_t)0);
-      a_val = WideUint<8>(WideUint<2>(a.sig()));
-      if (a.sign()) a_val = -a_val;
-      WideUint<8> placed = ofs >= 0 ? a_val << ofs : a_val >> -ofs;
-      CsWord a_row = CsWord(placed).truncated(kWindow);
+      const CsWord a_row = place_addend(a, d);
       if (b.sign() != c.sign()) product = cs_negate(product);
       CsNum adder = compress3(kWindow, product.sum(), product.carry(), a_row);
       if (activity_ != nullptr) {
@@ -77,11 +107,90 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
         // Catastrophic cancellation: the sum lost far more leading digits
         // than any alignment explains — the numerically delicate case.
         const int run = leading_sign_run(adder);
-        if (run >= 100) events->raise(EventKind::Cancellation, run);
+        if (run >= kCancellationRun) {
+          events->raise(EventKind::Cancellation, run);
+        }
       }
     }
   }
   return PFloat::fma(b, c, a, kBinary64, Round::NearestEven);
+}
+
+void ClassicFma::fma_ieee_batch(const OperandTriple* ops, std::size_t n,
+                                PFloat* out, const FmaBatchHooks& hooks) {
+  split_sliceable_runs(
+      ops, n, out, hooks, hooks_ != nullptr && hooks_->tap != nullptr,
+      sliceable,
+      [&](const OperandTriple& t) {
+        return fma(t.a, t.b, t.c).round_to(kBinary64, hooks.rm);
+      },
+      [this](const OperandTriple* run, int len, PFloat* o,
+             const FmaBatchHooks& h) { fma_block(run, len, o, h); });
+}
+
+void ClassicFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
+                           const FmaBatchHooks& hooks) {
+  // ---- per lane: tile products, B*C's sign and the aligned addend row ----
+  std::int64_t tiles[kMultiplier.tiles() * slice::kLanes];
+  std::uint64_t a_rows[slice::kLanes * kWindowWords];
+  std::uint64_t neg_mask = 0;
+  for (int L = 0; L < n; ++L) {
+    const PFloat& a = ops[L].a;
+    const PFloat& b = ops[L].b;
+    const PFloat& c = ops[L].c;
+    const std::uint64_t c_sig = c.sig().lo64();
+    slice::tile_products(kMultiplier, &c_sig, b.sig().lo64(), L, tiles);
+    if (b.sign() != c.sign()) neg_mask |= std::uint64_t{1} << L;
+    const CsWord a_row = place_addend(a, a.exp() - (b.exp() + c.exp()));
+    for (int x = 0; x < kWindowWords; ++x)
+      a_rows[L * kWindowWords + x] = a_row.data()[x];
+  }
+
+  // ---- planes, all lanes per word op: the multiplier (observed before
+  //      the sign is applied, as the scalar path observes it), the 3:2
+  //      adder with the addend, the LZA and the assimilated sum ----
+  std::uint64_t rows[kMultiplier.tiles() * kMultiplier.row_planes()];
+  std::uint64_t ps[kWindow], pc[kWindow], ar[kWindow];
+  slice::tiled_multiply(kMultiplier, tiles, n, rows, ps, pc);
+  if (activity_ != nullptr) {
+    activity_->probe("mul.sum", "mul").observe_planes(ps, kWindow, n);
+    activity_->probe("mul.carry", "mul").observe_planes(pc, kWindow, n);
+  }
+  slice::cs_negate(kWindow, neg_mask, ps, pc);
+  slice::pack_words(a_rows, kWindowWords, n, kWindow, ar);
+  std::uint64_t as[kWindow], ac[kWindow];
+  slice::compress3(kWindow, ps, pc, ar, as, ac);
+  if (activity_ != nullptr) {
+    activity_->probe("add.sum", "add").observe_planes(as, kWindow, n);
+    activity_->probe("add.carry", "add").observe_planes(ac, kWindow, n);
+  }
+  // lza_estimate leaves the assimilated planes at the front of its scratch.
+  std::uint16_t est[slice::kLanes], run[slice::kLanes];
+  std::uint64_t lza_scratch[2 * kWindow];
+  const std::uint64_t* assimilated = lza_scratch;
+  slice::lza_estimate(kWindow, as, ac, n, est, lza_scratch);
+  if (activity_ != nullptr) {
+    activity_->probe("norm", "norm").observe_planes(assimilated, kWindow, n);
+  }
+  EventLog* events = hooks.events;
+  if (events != nullptr) slice::leading_sign_run(kWindow, assimilated, n, run);
+
+  // ---- per-lane readout in operation order ----
+  for (int L = 0; L < n; ++L) {
+    hooks.begin_op(L, ops[L]);
+    if (events != nullptr) {
+      if (run[L] != est[L]) {
+        events->raise(EventKind::LzaMispredict, run[L] - est[L]);
+      }
+      if (run[L] >= kCancellationRun) {
+        events->raise(EventKind::Cancellation, run[L]);
+      }
+    }
+    last_norm_shift_ = est[L];
+    out[L] = PFloat::fma(ops[L].b, ops[L].c, ops[L].a, kBinary64,
+                         Round::NearestEven)
+                 .round_to(kBinary64, hooks.rm);
+  }
 }
 
 }  // namespace csfma

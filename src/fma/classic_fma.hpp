@@ -18,6 +18,7 @@
 #pragma once
 
 #include "common/activity.hpp"
+#include "fma/fma_unit.hpp"
 #include "fp/pfloat.hpp"
 #include "introspect/hooks.hpp"
 
@@ -35,10 +36,24 @@ class ClassicFma {
   /// 1990 design implements).
   PFloat fma(const PFloat& a, const PFloat& b, const PFloat& c);
 
+  /// Bit-sliced batch form of fma(a, b, c).round_to(binary64, hooks.rm)
+  /// (engine/slice.hpp): runs of operations with three normal operands and
+  /// an addend within the adder window's alignment range go through the
+  /// plane-form fma_block up to 64 lanes at a time; every other operation,
+  /// and every operation while a SignalTap is attached, takes the scalar
+  /// path.  Results, per-probe toggle counts and the event sequence are
+  /// bit-identical to the scalar loop.
+  void fma_ieee_batch(const OperandTriple* ops, std::size_t n, PFloat* out,
+                      const FmaBatchHooks& hooks);
+
   /// Normalization shift distance used by the last operation (LZA-guided).
   int last_norm_shift() const { return last_norm_shift_; }
 
  private:
+  /// One sliced block: all `n` (<= 64) operations must be sliceable.
+  void fma_block(const OperandTriple* ops, int n, PFloat* out,
+                 const FmaBatchHooks& hooks);
+
   ActivityRecorder* activity_;
   const IntrospectHooks* hooks_;
   int last_norm_shift_ = 0;

@@ -6,6 +6,7 @@
 #include "cs/lza.hpp"
 #include "cs/zero_detect.hpp"
 #include "engine/slice.hpp"
+#include "fma/sliced_batch.hpp"
 #include "introspect/event_log.hpp"
 #include "introspect/signal_tap.hpp"
 
@@ -308,59 +309,35 @@ bool sliceable(const CsGeometry& g, const OperandTriple& t) {
 
 void CsFma::fma_ieee_batch(const OperandTriple* ops, std::size_t n, PFloat* out,
                            const FmaBatchHooks& hooks) {
-  // A SignalTap traces one operation's wires stage by stage; its calls must
-  // stay in scalar order, so tapped runs bypass the sliced path entirely.
-  const bool tapped = hooks_ != nullptr && hooks_->tap != nullptr;
-  std::size_t i = 0;
-  while (i < n) {
-    if (tapped || !sliceable(g_, ops[i])) {
-      if (hooks.events != nullptr) {
-        hooks.events->begin_op(hooks.base_index + i, ops[i].a.to_bits().lo64(),
-                               ops[i].b.to_bits().lo64(),
-                               ops[i].c.to_bits().lo64());
-      }
-      out[i] = fma_ieee(ops[i].a, ops[i].b, ops[i].c, hooks.rm);
-      ++i;
-      continue;
-    }
-    std::size_t j = i + 1;
-    while (j < n && j - i < (std::size_t)slice::kLanes && sliceable(g_, ops[j]))
-      ++j;
-    fma_block(ops + i, (int)(j - i), out + i, hooks.rm, hooks.events,
-              hooks.base_index + i);
-    i = j;
-  }
+  split_sliceable_runs(
+      ops, n, out, hooks, hooks_ != nullptr && hooks_->tap != nullptr,
+      [this](const OperandTriple& t) { return sliceable(g_, t); },
+      [&](const OperandTriple& t) {
+        return fma_ieee(t.a, t.b, t.c, hooks.rm);
+      },
+      [this](const OperandTriple* run, int len, PFloat* o,
+             const FmaBatchHooks& h) { fma_block(run, len, o, h); });
 }
 
-void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out, Round rm,
-                      EventLog* events, std::uint64_t base) {
+void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
+                      const FmaBatchHooks& hooks) {
   constexpr int kW = CsWord::kWords;
   constexpr int kMaxW = kCsWordBits;
   constexpr int kMaxBlocks = kCsWordBits / 8;
+  EventLog* events = hooks.events;
   const bool lza = g_.select() == BlockSelect::Lza;
   const int m = g_.mant_digits(), t_digits = g_.tail_digits();
   const int w = g_.adder_width(), block = g_.block();
   const int max_skip = g_.max_skip();
   const int ofs_p = g_.product_offset();
-  // Multiplier tile geometry (lane-invariant), in multiply_dsp_tiled's row
-  // order (candidate-chunk outer).  The product rows live at bit ofs_p and
-  // above, so the Wallace tree only needs the top prod_w planes; the full
-  // planes are re-assembled (with the lane-masked negation) below.
-  const int n_cand = (m + g_.cand_chunk() - 1) / g_.cand_chunk();
-  const int n_mult = (53 + g_.mult_chunk() - 1) / g_.mult_chunk();
-  const int rows = n_cand * n_mult;
-  const int prod_w = w - ofs_p;
-  // Tile products and partial-product planes, packed at the geometry's
-  // row strides.
-  std::int64_t tiles[kMaxDspTiles * slice::kLanes];
-  std::uint64_t rp[kMaxTreePlanes];
-  const auto tile = [&](int r) { return tiles + r * slice::kLanes; };
-  const auto row = [&](int r) { return rp + r * prod_w; };
+  const slice::TileGeometry tg{m, g_.cand_chunk(), 53, g_.mult_chunk(), w,
+                               ofs_p};
 
   // ---- per-lane front end: lift + DSP tile products + A alignment (and
   //      the input-side anticipation of an early-LZA unit).  Only the
   //      per-lane-data work stays scalar; the partial-product tree, the
   //      adder and everything after run bit-parallel across the batch. ----
+  std::int64_t tiles[kMaxDspTiles * slice::kLanes];
   std::uint64_t a_rows[slice::kLanes * kW];
   std::uint64_t neg_mask = 0;
   int e_p[slice::kLanes];
@@ -374,23 +351,8 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out, Round rm,
     // rnd_c correction row never fires on this path; the DSP pre-adder
     // assimilation of multiply_dsp_tiled is the identity on it.
     const LiftedSig c = lift_significand(g_, ops[L].c);
-    const std::uint64_t b_sig = b.sig().lo64();
     if (b.sign()) neg_mask |= std::uint64_t{1} << L;
-    for (int j = 0; j < n_cand; ++j) {
-      const int c_lo = j * g_.cand_chunk();
-      const int c_len = std::min(g_.cand_chunk(), m - c_lo);
-      std::int64_t c_val =
-          (std::int64_t)wide_read_bits(c.mant.data(), c_lo, c_len);
-      if (j == n_cand - 1 && ((c_val >> (c_len - 1)) & 1))
-        c_val -= (std::int64_t)1 << c_len;
-      for (int i = 0; i < n_mult; ++i) {
-        const int b_lo = i * g_.mult_chunk();
-        const int b_len = std::min(g_.mult_chunk(), 53 - b_lo);
-        const std::int64_t b_val =
-            (std::int64_t)((b_sig >> b_lo) & ((std::uint64_t{1} << b_len) - 1));
-        tile(j * n_mult + i)[L] = c_val * b_val;
-      }
-    }
+    slice::tile_products(tg, c.mant.data(), b.sig().lo64(), L, tiles);
     e_p[L] = b.exp() + c.exp;
     // A path: rnd_a == 0 likewise; a is Normal or Zero (sliceable()).
     WideUint<8> a_val;
@@ -416,85 +378,13 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out, Round rm,
     }
   }
 
-  // ---- partial-product Wallace tree in plane form: each row is its
-  //      64-bit tile product placed at the tile's (lane-invariant) weight
-  //      with sign fill above, exactly multiply_dsp_tiled's row image; the
-  //      3:2 schedule is reduce_rows_inplace's, so the output planes are
-  //      bit-identical to the scalar tree's ----
-  for (int r = 0; r < rows; ++r) {
-    std::uint64_t tp[64];
-    slice::pack_words((const std::uint64_t*)tile(r), 1, n, 64, tp);
-    const int t =
-        (r / n_mult) * g_.cand_chunk() + (r % n_mult) * g_.mult_chunk();
-    std::uint64_t* rw = row(r);
-    const int top = std::min(t + 64, prod_w);
-    for (int b = 0; b < t; ++b) rw[b] = 0;
-    for (int b = t; b < top; ++b) rw[b] = tp[b - t];
-    for (int b = top; b < prod_w; ++b) rw[b] = tp[63];
-  }
-  int nr = rows;
-  while (nr > 2) {
-    int i = 0, o = 0;
-    for (; i + 3 <= nr; i += 3, o += 2) {
-      const std::uint64_t* ra = row(i);
-      const std::uint64_t* rb = row(i + 1);
-      const std::uint64_t* rcw = row(i + 2);
-      std::uint64_t* os = row(o);
-      std::uint64_t* oc = row(o + 1);
-      std::uint64_t prev_maj = 0;  // carry into bit ofs_p is 0
-      for (int b = 0; b < prod_w; ++b) {
-        const std::uint64_t x = ra[b], y = rb[b], z = rcw[b];
-        os[b] = x ^ y ^ z;  // reads precede writes: o <= i, o+1 <= i+1
-        oc[b] = prev_maj;
-        prev_maj = (x & y) | (z & (x | y));  // top majority drops (mod 2^W)
-      }
-    }
-    for (; i < nr; ++i, ++o) {
-      if (o != i) std::copy(row(i), row(i) + prod_w, row(o));
-    }
-    nr = o;
-  }
-  // The scalar tree reports its geometry per multiply; it is data
-  // independent, so one computation serves the whole block.
-  mul_stats_.rows = rows;
-  mul_stats_.levels = 0;
-  mul_stats_.compressors = 0;
-  for (int r = rows; r > 2; ++mul_stats_.levels) {
-    mul_stats_.compressors += (r / 3) * w;
-    r = (r / 3) * 2 + (r % 3);
-  }
-
-  // ---- full-width product planes with the lane-masked negation:
-  //      cs_negate is ~S + ~C + 2, i.e. one 3:2 layer whose planes reduce
-  //      to S^C (bit 1 flipped) and ~(S|C) shifted up one (with ~(S&C) at
-  //      bit 2), applied only to lanes where B is negative ----
+  // ---- the shared plane multiplier (the scalar tree's exact planes; its
+  //      data-independent stats serve the whole block), then B's sign as
+  //      the lane-masked negation ----
+  std::uint64_t rows[kMaxTreePlanes];
   std::uint64_t ps[kMaxW], pc[kMaxW], ar[kMaxW];
-  {
-    const std::uint64_t nm = neg_mask;
-    const std::uint64_t* s_row = row(0);
-    const std::uint64_t* c_row = nr > 1 ? row(1) : nullptr;
-    const auto sum_at = [&](int b) {
-      return b < ofs_p ? 0 : s_row[b - ofs_p];
-    };
-    const auto car_at = [&](int b) {
-      return b < ofs_p || c_row == nullptr ? 0 : c_row[b - ofs_p];
-    };
-    for (int b = 0; b < w; ++b) {
-      const std::uint64_t s = sum_at(b), cc = car_at(b);
-      std::uint64_t neg_s = s ^ cc;
-      if (b == 1) neg_s = ~neg_s;
-      std::uint64_t neg_c;
-      if (b == 0) {
-        neg_c = 0;
-      } else if (b == 2) {
-        neg_c = ~(sum_at(1) & car_at(1));
-      } else {
-        neg_c = ~(sum_at(b - 1) | car_at(b - 1));
-      }
-      ps[b] = (s & ~nm) | (neg_s & nm);
-      pc[b] = (cc & ~nm) | (neg_c & nm);
-    }
-  }
+  slice::tiled_multiply(tg, tiles, n, rows, ps, pc, &mul_stats_);
+  slice::cs_negate(w, neg_mask, ps, pc);
   slice::pack_words(a_rows, kW, n, w, ar);
   if (activity_ != nullptr) {
     activity_->probe("mul.sum", "mul").observe_planes(ps, w, n);
@@ -607,9 +497,8 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out, Round rm,
   slice::unpack_words(tc, t_digits, n, tail_cw, 1);
 
   for (int L = 0; L < n; ++L) {
+    hooks.begin_op(L, ops[L]);
     if (events != nullptr) {
-      events->begin_op(base + (std::uint64_t)L, ops[L].a.to_bits().lo64(),
-                       ops[L].b.to_bits().lo64(), ops[L].c.to_bits().lo64());
       const int p_msb = ofs_p + m + 53;
       const int out_msb = w - 1 - (int)run[L];
       const int drop = std::max(a_msb[L], p_msb) - out_msb;
@@ -630,7 +519,7 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out, Round rm,
     out[L] = cs_to_ieee(result(PcsNum(m, g_.group(), msum, mcar),
                                PcsNum(t_digits, g_.group(), tsum, tcar),
                                e_p[L] + mant_lo - g_.align(), events),
-                        kBinary64, rm);
+                        kBinary64, hooks.rm);
   }
 }
 

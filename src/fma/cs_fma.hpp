@@ -73,8 +73,8 @@ class CsFma {
 
  private:
   /// One sliced block: all `n` (<= 64) operations must be sliceable.
-  void fma_block(const OperandTriple* ops, int n, PFloat* out, Round rm,
-                 EventLog* events, std::uint64_t base);
+  void fma_block(const OperandTriple* ops, int n, PFloat* out,
+                 const FmaBatchHooks& hooks);
   /// The mux output as an operand: zero test, exponent range checks.
   CsOperand result(PcsNum mant, PcsNum tail, int e_r, EventLog* events) const;
 

@@ -59,14 +59,16 @@ PFloat FmaUnit::fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c,
   return lower(fma(lift(a), b, lift(c)), rm);
 }
 
+void FmaBatchHooks::begin_op(std::size_t i, const OperandTriple& t) const {
+  if (events == nullptr) return;
+  events->begin_op(base_index + i, t.a.to_bits().lo64(), t.b.to_bits().lo64(),
+                   t.c.to_bits().lo64());
+}
+
 void FmaUnit::fma_ieee_batch(const OperandTriple* ops, std::size_t n,
                              PFloat* out, const FmaBatchHooks& hooks) {
   for (std::size_t i = 0; i < n; ++i) {
-    if (hooks.events != nullptr) {
-      hooks.events->begin_op(hooks.base_index + i, ops[i].a.to_bits().lo64(),
-                             ops[i].b.to_bits().lo64(),
-                             ops[i].c.to_bits().lo64());
-    }
+    hooks.begin_op(i, ops[i]);
     out[i] = fma_ieee(ops[i].a, ops[i].b, ops[i].c, hooks.rm);
   }
 }
@@ -113,6 +115,10 @@ class ClassicUnit final : public IeeeUnitBase {
   FmaOperand fma(const FmaOperand& a, const PFloat& b,
                  const FmaOperand& c) override {
     return FmaOperand(unit_.fma(a.ieee(), b, c.ieee()));
+  }
+  void fma_ieee_batch(const OperandTriple* ops, std::size_t n, PFloat* out,
+                      const FmaBatchHooks& hooks) override {
+    unit_.fma_ieee_batch(ops, n, out, hooks);
   }
 
  private:

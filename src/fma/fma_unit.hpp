@@ -46,6 +46,9 @@ struct FmaBatchHooks {
   Round rm = Round::NearestEven;
   EventLog* events = nullptr;
   std::uint64_t base_index = 0;
+
+  /// Opens operation i of the batch in the event log (a no-op when off).
+  void begin_op(std::size_t i, const OperandTriple& t) const;
 };
 
 /// The four Table I architectures.
@@ -129,11 +132,12 @@ class FmaUnit {
   /// with stream semantics identical to the per-operation loop — when
   /// hooks.events is non-null each operation contributes
   /// begin_op(hooks.base_index + i, ...) followed by its events, in
-  /// operation order.  The base implementation IS that loop; units with a
-  /// bit-sliced batch path (engine/slice.hpp) override it, and the engine's
-  /// backend=scalar knob calls the base explicitly as the reference oracle.
-  /// Overrides must keep results, per-probe toggle counts and the event
-  /// sequence bit-identical to the base loop.
+  /// operation order.  The base implementation IS that loop, and the
+  /// engine's backend=scalar knob calls it explicitly as the reference
+  /// oracle.  The fused units (classic, PCS, FCS) override it with their
+  /// bit-sliced blocks (engine/slice.hpp) through split_sliceable_runs
+  /// (fma/sliced_batch.hpp); the discrete pair keeps the loop.  Overrides must keep results,
+  /// per-probe toggle counts and the event sequence bit-identical to it.
   virtual void fma_ieee_batch(const OperandTriple* ops, std::size_t n,
                               PFloat* out, const FmaBatchHooks& hooks);
 };

@@ -64,11 +64,12 @@ TEST(SimEngine, VectorBatchOverloadMatchesSource) {
   EXPECT_EQ(toggle_map(from_vec.activity), toggle_map(from_src.activity));
 }
 
-// The determinism contract on a 10k-sample stream, for both carry-save
-// units: 1 worker and N workers produce bit-identical results and equal
-// merged toggle totals (per probe, not just in aggregate).
+// The determinism contract on a 10k-sample stream, for the three fused
+// units (the ones with a sliced block): 1 worker and N workers produce
+// bit-identical results and equal merged toggle totals (per probe, not
+// just in aggregate).
 TEST(SimEngine, ThreadCountDoesNotChangeResultsOrActivity) {
-  for (UnitKind kind : {UnitKind::Pcs, UnitKind::Fcs}) {
+  for (UnitKind kind : {UnitKind::Classic, UnitKind::Pcs, UnitKind::Fcs}) {
     RandomTripleSource src(42, 10000, -12, 12);
     SimEngine one(config(kind, 1, 512));
     SimEngine many(config(kind, 4, 512));
@@ -430,10 +431,11 @@ std::vector<OperandTriple> adversarial_ops() {
 
 /// Results, per-probe toggle counts AND the serialized event log must be
 /// byte-identical between the scalar reference backend and the sliced
-/// backend, at any thread count (the CI backend-equivalence gate).
+/// backend, at any thread count (the CI backend-equivalence gate), for
+/// every unit with a sliced block: classic, PCS and FCS.
 TEST(SimEngine, BackendEquivalenceOnAdversarialOperands) {
   const std::vector<OperandTriple> ops = adversarial_ops();
-  for (UnitKind kind : {UnitKind::Pcs, UnitKind::Fcs}) {
+  for (UnitKind kind : {UnitKind::Classic, UnitKind::Pcs, UnitKind::Fcs}) {
     auto run = [&](EngineBackend backend, int threads) {
       EngineConfig cfg = config(kind, threads, 32);
       cfg.backend = backend;
@@ -463,9 +465,10 @@ TEST(SimEngine, BackendEquivalenceOnAdversarialOperands) {
   }
 }
 
+// The same contract on a 5000-op random stream, for classic, PCS and FCS.
 TEST(SimEngine, BackendEquivalenceOnRandomStream) {
   RandomTripleSource src(314159, 5000, -12, 12);
-  for (UnitKind kind : {UnitKind::Pcs, UnitKind::Fcs}) {
+  for (UnitKind kind : {UnitKind::Classic, UnitKind::Pcs, UnitKind::Fcs}) {
     EngineConfig scfg = config(kind, 2, 512);
     scfg.backend = EngineBackend::Scalar;
     EngineConfig vcfg = scfg;

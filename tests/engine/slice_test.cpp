@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/activity.hpp"
 #include "common/rng.hpp"
 #include "cs/cs_num.hpp"
+#include "cs/csa_tree.hpp"
 #include "cs/lza.hpp"
 #include "cs/pcs.hpp"
 #include "cs/zero_detect.hpp"
@@ -277,6 +279,79 @@ TEST(Slice, LzaEstimateMatchesScalarPerLane) {
     const int want = lza_estimate(
         CsNum(width, cs_of_lane(ls, stride, L), cs_of_lane(lc, stride, L)));
     EXPECT_EQ((int)est[L], want) << "lane " << L;
+  }
+}
+
+// The plane multiplier and the lane-masked negation against
+// multiply_dsp_tiled and cs_negate applied lane by lane, at the three
+// geometries that use them: classic (a 54-digit multiplicand in 17-bit
+// slices times 53 bits in 24-bit slices, the 161-bit window at offset 0),
+// PCS (110 digits, 17/24, 385 bits at 110) and FCS (87 digits, 23/17,
+// 377 bits at 87).
+TEST(Slice, TiledProductMatchesScalarPerLane) {
+  Rng rng(11);
+  const slice::TileGeometry geometries[] = {{54, 17, 53, 24, 161, 0},
+                                            {110, 17, 53, 24, 385, 110},
+                                            {87, 23, 53, 17, 377, 87}};
+  for (const slice::TileGeometry& g : geometries) {
+    const int stride = CsWord::kWords;
+    for (int n : {1, 37, 63, 64}) {
+      const auto cands = random_lanes(rng, n, g.cand_width, stride);
+      std::vector<std::uint64_t> mults((std::size_t)n);
+      std::vector<std::int64_t> tiles((std::size_t)(g.tiles() * 64));
+      for (int L = 0; L < n; ++L) {
+        mults[(std::size_t)L] = rng.next_u64() >> (64 - g.mult_width);
+        slice::tile_products(g, &cands[(std::size_t)(L * stride)],
+                             mults[(std::size_t)L], L, tiles.data());
+      }
+      std::vector<std::uint64_t> rows((std::size_t)(g.tiles() *
+                                                    g.row_planes()));
+      std::vector<std::uint64_t> ps((std::size_t)g.width),
+          pc((std::size_t)g.width);
+      CsaTreeStats stats;
+      slice::tiled_multiply(g, tiles.data(), n, rows.data(), ps.data(),
+                            pc.data(), &stats);
+      const std::uint64_t neg =
+          n == 64 ? rng.next_u64()
+                  : rng.next_u64() & ((std::uint64_t{1} << n) - 1);
+      std::vector<std::uint64_t> ns = ps, nc = pc;
+      slice::cs_negate(g.width, neg, ns.data(), nc.data());
+
+      std::vector<std::uint64_t> lps((std::size_t)(n * stride), 0),
+          lpc = lps, lns = lps, lnc = lps;
+      slice::unpack_words(ps.data(), g.width, n, lps.data(), stride);
+      slice::unpack_words(pc.data(), g.width, n, lpc.data(), stride);
+      slice::unpack_words(ns.data(), g.width, n, lns.data(), stride);
+      slice::unpack_words(nc.data(), g.width, n, lnc.data(), stride);
+      const std::string at = std::to_string(g.cand_width) + "x" +
+                             std::to_string(g.mult_width) + " n " +
+                             std::to_string(n);
+      CsaTreeStats want_stats;
+      for (int L = 0; L < n; ++L) {
+        const CsNum want = multiply_dsp_tiled(
+            CsNum::from_binary(g.cand_width, cs_of_lane(cands, stride, L)),
+            CsWord(mults[(std::size_t)L]), g.mult_width, g.cand_chunk,
+            g.mult_chunk, g.width, g.offset, &want_stats);
+        EXPECT_EQ(cs_of_lane(lps, stride, L), want.sum()) << at << " L " << L;
+        EXPECT_EQ(cs_of_lane(lpc, stride, L), want.carry())
+            << at << " L " << L;
+        const CsNum want_neg = ((neg >> L) & 1) != 0 ? cs_negate(want) : want;
+        EXPECT_EQ(cs_of_lane(lns, stride, L), want_neg.sum())
+            << at << " L " << L;
+        EXPECT_EQ(cs_of_lane(lnc, stride, L), want_neg.carry())
+            << at << " L " << L;
+      }
+      EXPECT_EQ(stats.rows, want_stats.rows) << at;
+      EXPECT_EQ(stats.levels, want_stats.levels) << at;
+      EXPECT_EQ(stats.compressors, want_stats.compressors) << at;
+      // Lanes n..63 stay zero through both kernels (the layout contract).
+      for (int b = 0; n < 64 && b < g.width; ++b) {
+        ASSERT_EQ((ps[(std::size_t)b] | pc[(std::size_t)b] |
+                   ns[(std::size_t)b] | nc[(std::size_t)b]) >> n,
+                  0u)
+            << at << " b " << b;
+      }
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -171,15 +173,18 @@ std::vector<OperandTriple> adversarial_stream(std::size_t n) {
   return ops;
 }
 
-/// FNV-1a over a CS unit's results, activity JSON and event-log JSON on
-/// the stream, through its own batch path or the base-class scalar loop.
-std::uint64_t unit_digest(const CsGeometry& g, bool scalar) {
+using UnitFactory = std::function<std::unique_ptr<FmaUnit>(
+    ActivityRecorder*, const IntrospectHooks*)>;
+
+/// FNV-1a over a unit's results, activity JSON and event-log JSON on the
+/// stream, through its own batch path or the base-class scalar loop.
+std::uint64_t digest_of(const UnitFactory& make, bool scalar) {
   const std::vector<OperandTriple> ops = adversarial_stream(4096);
   ActivityRecorder rec;
   EventLog events(1 << 16);
   IntrospectHooks hooks;
   hooks.events = &events;
-  auto unit = make_cs_unit(g, &rec, &hooks);
+  auto unit = make(&rec, &hooks);
   std::vector<PFloat> out(ops.size());
   FmaBatchHooks bh;
   bh.rm = Round::HalfAwayFromZero;
@@ -199,11 +204,29 @@ std::uint64_t unit_digest(const CsGeometry& g, bool scalar) {
   return fnv_bytes(ev.data(), ev.size(), h);
 }
 
-TEST(FmaUnit, CarrySaveUnitsMatchRecordedDigests) {
-  // The PCS, FCS and FCS-ZD units' results, per-probe toggles and event
-  // logs on an adversarial stream, pinned to recorded digests: a change
-  // that moves one result bit, toggle or event of any of them — on the
-  // sliced or the scalar path — fails here.
+std::uint64_t unit_digest(const CsGeometry& g, bool scalar) {
+  return digest_of(
+      [&](ActivityRecorder* rec, const IntrospectHooks* hooks) {
+        return make_cs_unit(g, rec, hooks);
+      },
+      scalar);
+}
+
+std::uint64_t unit_digest(UnitKind kind, bool scalar) {
+  return digest_of(
+      [&](ActivityRecorder* rec, const IntrospectHooks* hooks) {
+        return make_fma_unit(kind, rec, hooks);
+      },
+      scalar);
+}
+
+TEST(FmaUnit, FusedUnitsMatchRecordedDigests) {
+  // The classic, PCS, FCS and FCS-ZD units' results, per-probe toggles and
+  // event logs on an adversarial stream, pinned to recorded digests: a
+  // change that moves one result bit, toggle or event of any of them — on
+  // the sliced or the scalar path — fails here.
+  EXPECT_EQ(unit_digest(UnitKind::Classic, false), 0x7d528c21bdcf838aULL);
+  EXPECT_EQ(unit_digest(UnitKind::Classic, true), 0x7d528c21bdcf838aULL);
   const CsGeometry fcs_zd = CsGeometry::fcs(BlockSelect::Zd);
   EXPECT_EQ(unit_digest(kPcsGeometry, false), 0x35548100ebfc5557ULL);
   EXPECT_EQ(unit_digest(kPcsGeometry, true), 0x35548100ebfc5557ULL);
