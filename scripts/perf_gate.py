@@ -26,8 +26,10 @@ its `bound` (a bound of 0.2 passes a `higher` metric down to 0.8 and a
 `correct: false` or a nonzero exit, and when the change has more `failed`
 operations than the parent.
 
-stdout is a Markdown table, one row per workload and metric (median ratio,
-quartiles, bound, verdict), then the failures; progress goes to stderr.
+stdout is a Markdown table, one row per workload and metric (median ratio
+and its quartiles; each side's own median and quartiles of the metric;
+the pairs the change won, oriented by `better`, ties counting for
+neither; bound; verdict), then the failures; progress goes to stderr.
 Exit 0 when the gate passes, 1 when it fails, 2 when a tree cannot be
 built.  scripts/perf_gate_selftest.sh checks that a slowed copy fails.
 """
@@ -83,14 +85,28 @@ def run_problem(run):
     return None
 
 
+def values(pair, name):
+    """(parent value, change value) of one metric in one pair, or None when
+    a run has no value for it."""
+    try:
+        return tuple(run["result"]["metrics"][name]["value"] for run in pair)
+    except (KeyError, TypeError):
+        return None
+
+
 def ratio(pair, name):
     """change/parent of one metric in one (parent run, change run) pair,
     or None when a run has no value for it."""
-    try:
-        p, c = (run["result"]["metrics"][name]["value"] for run in pair)
-    except (KeyError, TypeError):
-        return None
-    return c / p if p > 0 else None
+    v = values(pair, name)
+    return v[1] / v[0] if v is not None and v[0] > 0 else None
+
+
+def quartiles(xs):
+    """(median, q1, q3) of a non-empty list."""
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, median, q3 = statistics.quantiles(xs, n=4)
+    return statistics.median(xs), q1, q3
 
 
 def failed_ops(run):
@@ -100,8 +116,11 @@ def failed_ops(run):
 def judge(workload, metrics, pairs):
     """Verdict on one workload.  `pairs` is a list of (parent run, change
     run); returns (rows, failures): one row per metric as a dict with
-    `metric`, `better`, `bound`, `limit`, `median`, `q1`, `q3` and `ok`,
-    and a list of failure messages (metric failures included)."""
+    `metric`, `better`, `bound`, `limit`, `median`, `q1`, `q3` (of the
+    change/parent ratios), `parent` and `change` (each side's own (median,
+    q1, q3) of the metric, or None), `wins` (pairs where the change is
+    better), `pairs` (pairs with both values) and `ok`, and a list of
+    failure messages (metric failures included)."""
     failures = []
     for i, pair in enumerate(pairs):
         for side, run in zip(("parent", "change"), pair):
@@ -118,13 +137,19 @@ def judge(workload, metrics, pairs):
     for m in metrics:
         ratios = [r for r in (ratio(pair, m["name"]) for pair in pairs)
                   if r is not None]
+        sides = [v for v in (values(pair, m["name"]) for pair in pairs)
+                 if v is not None]
+        sign = 1 if m["better"] == "higher" else -1
         row = {"metric": m["name"], "better": m["better"],
                "bound": m["bound"], "limit": limit(m), "median": None,
-               "q1": None, "q3": None, "ok": False}
+               "q1": None, "q3": None, "parent": None, "change": None,
+               "wins": sum(sign * (c - p) > 0 for p, c in sides),
+               "pairs": len(sides), "ok": False}
+        if sides:
+            row["parent"] = quartiles([p for p, _ in sides])
+            row["change"] = quartiles([c for _, c in sides])
         if ratios:
-            row["median"] = statistics.median(ratios)
-            row["q1"], _, row["q3"] = (statistics.quantiles(ratios, n=4)
-                                       if len(ratios) > 1 else ratios * 3)
+            row["median"], row["q1"], row["q3"] = quartiles(ratios)
             row["ok"] = within(m, row["median"])
         if not row["ok"]:
             failures.append("%s: %s median change/parent %s, limit %.3f"
@@ -138,17 +163,33 @@ def fmt(value):
     return "n/a" if value is None else "%.3f" % value
 
 
+def fmt_value(value):
+    return "%.0f" % value if abs(value) >= 1000 else "%.4g" % value
+
+
+def fmt_side(side):
+    """One side's "median (q1..q3)" of a metric."""
+    if side is None:
+        return "n/a"
+    return "%s (%s..%s)" % tuple(fmt_value(v) for v in side)
+
+
 def table(results):
     """Markdown table of {workload: rows}."""
-    out = ["| workload | metric | median change/parent | q1 | q3 | bound "
-           "| verdict |", "|---|---|---|---|---|---|---|"]
+    out = ["| workload | metric | median change/parent | q1 | q3 "
+           "| parent median (q1..q3) | change median (q1..q3) "
+           "| change won | bound | verdict |",
+           "|---|---|---|---|---|---|---|---|---|---|"]
     for workload, rows in results.items():
         for r in rows:
-            out.append("| %s | %s | %s | %s | %s | %g (%s %.3f) | %s |" % (
-                workload, r["metric"], fmt(r["median"]), fmt(r["q1"]),
-                fmt(r["q3"]), r["bound"],
-                ">=" if r["better"] == "higher" else "<=", r["limit"],
-                "pass" if r["ok"] else "FAIL"))
+            out.append("| %s | %s | %s | %s | %s | %s | %s | %d/%d "
+                       "| %g (%s %.3f) | %s |" % (
+                           workload, r["metric"], fmt(r["median"]),
+                           fmt(r["q1"]), fmt(r["q3"]), fmt_side(r["parent"]),
+                           fmt_side(r["change"]), r["wins"], r["pairs"],
+                           r["bound"],
+                           ">=" if r["better"] == "higher" else "<=",
+                           r["limit"], "pass" if r["ok"] else "FAIL"))
     return "\n".join(out)
 
 

@@ -9,7 +9,6 @@
 // coefficients.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -18,6 +17,16 @@
 #include "common/wide_uint.hpp"
 
 namespace csfma {
+
+/// Set bits of `x`, by the SWAR idiom: GCC folds it to one popcnt where the
+/// target has that instruction, and otherwise keeps it inline (about 20
+/// instructions), where std::popcount calls into libgcc once per word.
+constexpr int popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return (int)((x * 0x0101010101010101ull) >> 56);
+}
 
 class ActivityProbe {
  public:
@@ -32,7 +41,7 @@ class ActivityProbe {
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t p = i < prev_.size() ? prev_[i] : 0;
         const std::uint64_t c = i < (std::size_t)W ? v.word((int)i) : 0;
-        toggles_ += (std::uint64_t)std::popcount(p ^ c);
+        toggles_ += (std::uint64_t)popcount64(p ^ c);
       }
     }
     prev_.resize((std::size_t)W);
@@ -44,43 +53,41 @@ class ActivityProbe {
   /// Bulk observation of `n` successive values in bit-plane (SoA) form:
   /// planes[b] bit L holds bit b of the (L+1)-th value of the batch
   /// (engine/slice.hpp layout).  Exactly equivalent to n successive
-  /// observe() calls of width `width_bits` — the seam toggle against the
-  /// stored baseline uses the same zero-extended comparison, lane-to-lane
-  /// toggles are popcounts of each plane XOR its one-lane shift, and the
-  /// batch's last value becomes the new baseline.
+  /// observe() calls of width `width_bits`, in one pass over the planes:
+  /// each plane yields its lane-0 bit (the seam against the stored
+  /// baseline, compared zero-extended as observe() does), its lane-to-lane
+  /// toggles (the plane XOR its one-lane shift) and its lane n-1 bit (the
+  /// new baseline).
   void observe_planes(const std::uint64_t* planes, int width_bits, int n) {
     if (n <= 0) return;
     const std::size_t words = ((std::size_t)width_bits + 63) / 64;
-    if (has_prev_) {
-      const std::size_t nw = prev_.size() > words ? prev_.size() : words;
-      for (std::size_t wi = 0; wi < nw; ++wi) {
-        std::uint64_t first = 0;
-        if (wi < words) {
-          const int b0 = (int)wi * 64;
-          const int nb = width_bits - b0 < 64 ? width_bits - b0 : 64;
-          for (int b = 0; b < nb; ++b)
-            first |= (planes[b0 + b] & 1u) << b;
-        }
-        const std::uint64_t p = wi < prev_.size() ? prev_[wi] : 0;
-        toggles_ += (std::uint64_t)std::popcount(p ^ first);
-      }
-    }
-    // Lane L vs lane L-1 for L in [1, n): shift each plane up by one lane
-    // and XOR, masking off lane 0 (covered by the seam above) and lanes
-    // beyond the batch.
+    // Lanes [1, n) toggle against their predecessor; lane 0's toggle is
+    // the seam.
     const std::uint64_t lane_mask =
         (n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1) &
         ~std::uint64_t{1};
+    const unsigned last = (unsigned)(n - 1);
     std::uint64_t t = 0;
-    for (int b = 0; b < width_bits; ++b)
-      t += (std::uint64_t)std::popcount((planes[b] ^ (planes[b] << 1)) &
-                                        lane_mask);
+    // A wider baseline's extra words meet zeros; a narrower one reads as
+    // zero-extended.
+    if (has_prev_)
+      for (std::size_t wi = words; wi < prev_.size(); ++wi)
+        t += (std::uint64_t)popcount64(prev_[wi]);
+    prev_.resize(words);
+    for (std::size_t wi = 0; wi < words; ++wi) {
+      const std::uint64_t* p = planes + wi * 64;
+      const int nb = width_bits - (int)wi * 64 < 64 ? width_bits - (int)wi * 64
+                                                    : 64;
+      std::uint64_t first = 0, newest = 0;
+      for (int b = 0; b < nb; ++b) {
+        first |= (p[b] & 1u) << b;
+        newest |= ((p[b] >> last) & 1u) << b;
+        t += (std::uint64_t)popcount64((p[b] ^ (p[b] << 1)) & lane_mask);
+      }
+      if (has_prev_) t += (std::uint64_t)popcount64(prev_[wi] ^ first);
+      prev_[wi] = newest;
+    }
     toggles_ += t;
-    prev_.assign(words, 0);
-    const int last = n - 1;
-    for (int b = 0; b < width_bits; ++b)
-      prev_[(std::size_t)b / 64] |= ((planes[b] >> last) & 1u)
-                                    << ((unsigned)b % 64);
     has_prev_ = true;
     observations_ += (std::uint64_t)n;
   }

@@ -95,14 +95,15 @@ void carry_reduce(int width, int group, const std::uint64_t* s,
   }
 }
 
-void assimilate(int width, const std::uint64_t* s, const std::uint64_t* c,
-                std::uint64_t* out) {
+std::uint64_t assimilate(int width, const std::uint64_t* s,
+                         const std::uint64_t* c, std::uint64_t* out) {
   std::uint64_t carry = 0;
   for (int i = 0; i < width; ++i) {
     const std::uint64_t a = s[i], b = c[i];
     out[i] = a ^ b ^ carry;
     carry = (a & b) | (carry & (a | b));
   }
+  return carry;
 }
 
 void count_skippable_blocks(int width, int block, int max_skip,

@@ -77,9 +77,10 @@ void carry_reduce(int width, int group, const std::uint64_t* s,
                   std::uint64_t* out_c);
 
 /// Full-width assimilation: out[b] holds bit b of (S + C) mod 2^width per
-/// lane — the plane form of CsNum::to_binary().  No aliasing.
-void assimilate(int width, const std::uint64_t* s, const std::uint64_t* c,
-                std::uint64_t* out);
+/// lane — the plane form of CsNum::to_binary().  Returns the carry out of
+/// the top plane, bit `width` of the unwrapped sum.  No aliasing.
+std::uint64_t assimilate(int width, const std::uint64_t* s,
+                         const std::uint64_t* c, std::uint64_t* out);
 
 /// Zero-detect block skipping (cs/zero_detect.hpp count_skippable_blocks)
 /// for all lanes: alive_after[k] bit L is set iff lane L skips more than k

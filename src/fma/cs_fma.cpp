@@ -20,6 +20,11 @@ namespace {
 /// 21 x 275 and 16 x 290.
 constexpr int kMaxDspTiles = 24;
 constexpr int kMaxTreePlanes = 24 * 310;
+/// X̂ = signed(mant) * 2^T + tail takes M + T + 1 bits (the unwrapped tail
+/// may carry out): at most 187, so fma_block reads it out in three words.
+constexpr int kXhatWords = 3;
+
+using I128 = __int128;
 
 /// Sign of a normal operand's value (mantissa two's complement; a zero
 /// mantissa with a non-zero tail is positive).
@@ -47,19 +52,59 @@ CsOperand passthrough_rounded(const CsOperand& a, int rnd_a) {
                    FpClass::Normal, value_sign(a));
 }
 
-/// A's aligned row in the adder window (zero when A is entirely below it).
-/// The 512-bit sign extension makes the negative-offset shift arithmetic.
-CsWord place_a(const WideUint<8>& a_val, int ofs_a, const CsGeometry& g) {
-  if (a_val.is_zero() || ofs_a <= -g.mant_digits()) return CsWord();
-  const WideUint<8> placed = ofs_a >= 0 ? (a_val << ofs_a) : (a_val >> -ofs_a);
-  return CsWord(placed).truncated(g.adder_width());
+/// An M-digit two's-complement word (M < 128) as a signed integer.
+I128 signed_mant(const U128& v, int m) {
+  const unsigned __int128 u = ((unsigned __int128)v.word(1) << 64) | v.lo64();
+  return (I128)(u << (128 - m)) >> (128 - m);
 }
 
-/// Leading sign run of a carry-free two's-complement value — exactly what
-/// lza_estimate returns on a freshly lifted (binary) operand.
-int binary_sign_run(const CsWord& v, int width) {
-  const CsWord x = v.bit(width - 1) ? (~v).truncated(width) : v;
-  return width - 1 - x.bit_width();
+/// A's aligned row in the adder window, as CsWord::kWords words: the
+/// signed value `a` with its lsb at window digit ofs_a, sign-extended to
+/// the window top and truncated there (zero when A lies entirely below
+/// the window).  A negative offset shifts arithmetically.
+void place_a(I128 a, int ofs_a, const CsGeometry& g, std::uint64_t* row) {
+  const int w = g.adder_width();
+  if (ofs_a < 0) {
+    a = ofs_a > -g.mant_digits() ? a >> -ofs_a : 0;
+    ofs_a = 0;
+  }
+  const std::uint64_t src[3] = {(std::uint64_t)a,
+                                (std::uint64_t)((unsigned __int128)a >> 64),
+                                a < 0 ? ~std::uint64_t{0} : 0};
+  const auto at = [&](int d) { return d < 0 ? 0 : src[std::min(d, 2)]; };
+  const int q = ofs_a / 64, r = ofs_a % 64;
+  for (int x = 0; x < CsWord::kWords; ++x) {
+    std::uint64_t v =
+        r == 0 ? at(x - q) : (at(x - q) << r) | (at(x - q - 1) >> (64 - r));
+    if (64 * x + 64 > w)
+      v = 64 * x >= w ? 0 : v & ((std::uint64_t{1} << (w - 64 * x)) - 1);
+    row[x] = v;
+  }
+}
+
+/// Leading sign run of a carry-free M-digit two's-complement word —
+/// exactly what lza_estimate returns on a freshly lifted (binary) operand.
+int binary_sign_run(const U128& v, int m) {
+  const U128 x = v.bit(m - 1) ? (~v).truncated(m) : v;
+  return m - 1 - x.bit_width();
+}
+
+/// The class of a mux output (Sec. III-B side wires), as result() and the
+/// sliced readout both decide it: a zero value is +0; otherwise a result
+/// above the 12b exponent field is a signed infinity and one below it a
+/// flushed signed zero.
+struct ResultClass {
+  FpClass cls;
+  bool sign;
+};
+ResultClass result_class(bool zero, bool negative, int e_r, EventLog* events) {
+  if (zero) return {FpClass::Zero, false};
+  if (e_r > kCsExpMax) return {FpClass::Inf, negative};
+  if (e_r < kCsExpMin) {
+    if (events != nullptr) events->raise(EventKind::SubnormalFlush, e_r);
+    return {FpClass::Zero, negative};
+  }
+  return {FpClass::Normal, false};
 }
 
 }  // namespace
@@ -70,7 +115,8 @@ CsFma::CsFma(const CsGeometry& g, ActivityRecorder* activity,
   g_.validate();
   CSFMA_CHECK(g_.dsp_tiles() <= kMaxDspTiles &&
               g_.dsp_tiles() * (g_.adder_width() - g_.product_offset()) <=
-                  kMaxTreePlanes);
+                  kMaxTreePlanes &&
+              g_.mant_digits() + g_.tail_digits() + 1 <= kXhatWords * 64);
 }
 
 CsOperand CsFma::fma(const CsOperand& a, const PFloat& b, const CsOperand& c) {
@@ -127,11 +173,10 @@ CsOperand CsFma::fma(const CsOperand& a, const PFloat& b, const CsOperand& c) {
   //      Fig 5).  The A mantissa is assimilated here (see header note). ----
   const int e_p = b.exp() + c.exp();
   const int ofs_a = (a_normal ? a.exp() : e_p) - e_p + g_.align();
-  const WideUint<8> a_val =
-      WideUint<8>(a_normal ? a.mant().to_binary() : CsWord()).sext(m) +
-      WideUint<8>((std::uint64_t)rnd_a);
+  const I128 a_val =
+      (a_normal ? signed_mant(U128(a.mant().to_binary()), m) : 0) + rnd_a;
   const bool a_present =
-      full ? a_normal && !a.mant_digits_all_zero() : !a_val.is_zero();
+      full ? a_normal && !a.mant_digits_all_zero() : a_val != 0;
   // A entirely left of the adder window: the product cannot influence even
   // the rounding tail, so A passes through.  The full carry-save unit sees
   // this on its inputs, before the multiplier fires.
@@ -177,7 +222,8 @@ CsOperand CsFma::fma(const CsOperand& a, const PFloat& b, const CsOperand& c) {
   // The PCS unit's mux takes a far-left A only after the multiplier fired.
   if (a_left) return passthrough_rounded(a, rnd_a);
 
-  const CsWord a_row = place_a(a_val, ofs_a, g_);
+  CsWord a_row;
+  place_a(a_val, ofs_a, g_, a_row.data());
   if (activity_ != nullptr) activity_->probe("ashift", "align").observe(a_row);
   if (tap != nullptr) {
     tap->begin_stage("align");
@@ -267,13 +313,10 @@ CsOperand CsFma::result(PcsNum mant, PcsNum tail, int e_r,
           ? mant.sum().is_zero() && mant.carries().is_zero() &&
                 tail.sum().is_zero() && tail.carries().is_zero()
           : mant.to_binary().is_zero() && tail.to_binary().is_zero();
-  if (zero) return CsOperand::make_zero(g_, false);
-  const bool negative = mant.as_cs().is_value_negative();
-  if (e_r > kCsExpMax) return CsOperand::make_inf(g_, negative);
-  if (e_r < kCsExpMin) {
-    if (events != nullptr) events->raise(EventKind::SubnormalFlush, e_r);
-    return CsOperand::make_zero(g_, negative);
-  }
+  const ResultClass rc =
+      result_class(zero, mant.as_cs().is_value_negative(), e_r, events);
+  if (rc.cls == FpClass::Zero) return CsOperand::make_zero(g_, rc.sign);
+  if (rc.cls == FpClass::Inf) return CsOperand::make_inf(g_, rc.sign);
   return CsOperand(g_, std::move(mant), std::move(tail), e_r, FpClass::Normal,
                    false);
 }
@@ -355,19 +398,18 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
     slice::tile_products(tg, c.mant.data(), b.sig().lo64(), L, tiles);
     e_p[L] = b.exp() + c.exp;
     // A path: rnd_a == 0 likewise; a is Normal or Zero (sliceable()).
-    WideUint<8> a_val;
+    I128 a_val = 0;
     int ofs_a = g_.align();
     int lza_a = 0;
     if (ops[L].a.cls() == FpClass::Normal) {
       const LiftedSig a = lift_significand(g_, ops[L].a);
-      a_val = WideUint<8>(a.mant).sext(m);
+      a_val = signed_mant(a.mant, m);
       ofs_a = a.exp - e_p[L] + g_.align();
       lza_a = binary_sign_run(a.mant, m);
     }
-    const CsWord a_row = place_a(a_val, ofs_a, g_);
-    const bool a_in = !a_val.is_zero() && ofs_a > -m;
+    place_a(a_val, ofs_a, g_, a_rows + L * kW);
+    const bool a_in = a_val != 0 && ofs_a > -m;
     a_msb[L] = a_in ? ofs_a + m - 1 : -1;
-    for (int x = 0; x < kW; ++x) a_rows[L * kW + x] = a_row.data()[x];
     if (lza) {
       const int lza_c = binary_sign_run(c.mant, m);
       int p_est = a_in ? ofs_a + m - lza_a : -1;
@@ -487,15 +529,35 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
     activity_->probe("mux.carry", "mux").observe_planes(mc, m, n);
   }
 
-  // ---- back to lane-major form; per-lane readout in operation order ----
-  const int mant_words = (m + 63) / 64;
-  std::uint64_t mant_sw[slice::kLanes * kW], mant_cw[slice::kLanes * kW];
-  std::uint64_t tail_sw[slice::kLanes], tail_cw[slice::kLanes];
-  slice::unpack_words(ms, m, n, mant_sw, mant_words);
-  slice::unpack_words(mc, m, n, mant_cw, mant_words);
-  slice::unpack_words(ts, t_digits, n, tail_sw, 1);
-  slice::unpack_words(tc, t_digits, n, tail_cw, 1);
+  // ---- readout in plane form: assimilate the mantissa mod 2^M and the
+  //      tail unwrapped, and form X̂ = signed(mant) * 2^T + tail (the value
+  //      semantics of cs_format.hpp) with one ripple pass; zero test and
+  //      sign for every lane at once, then one transpose of X̂ ----
+  const int xw = m + t_digits + 1;
+  std::uint64_t mb[kMaxW], xh[kXhatWords * 64];
+  slice::assimilate(m, ms, mc, mb);
+  std::uint64_t carry = slice::assimilate(t_digits, ts, tc, xh);
+  for (int b = 0; b <= m; ++b) {
+    const std::uint64_t d = mb[std::min(b, m - 1)];  // sign-extended mant
+    xh[t_digits + b] = d ^ carry;
+    carry &= d;
+  }
+  // result()'s zero test: every digit plane of a full carry-save unit, the
+  // two binary images (mantissa mod 2^M, tail mod 2^T) of a PCS unit.
+  std::uint64_t nonzero = 0;
+  if (g_.group() == 1) {
+    for (int b = 0; b < m; ++b) nonzero |= ms[b] | mc[b];
+    for (int b = 0; b < t_digits; ++b) nonzero |= ts[b] | tc[b];
+  } else {
+    for (int b = 0; b < m; ++b) nonzero |= mb[b];
+    for (int b = 0; b < t_digits; ++b) nonzero |= xh[b];
+  }
+  const std::uint64_t negative = mb[m - 1];
+  const int x_words = (xw + 63) / 64;
+  std::uint64_t xhat_w[slice::kLanes * kXhatWords];
+  slice::unpack_words(xh, xw, n, xhat_w, kXhatWords);
 
+  // ---- per lane, in operation order: events, the class rule, rounding ----
   for (int L = 0; L < n; ++L) {
     hooks.begin_op(L, ops[L]);
     if (events != nullptr) {
@@ -508,18 +570,20 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
       }
     }
     last_skip_ = skip[L];
-    CsWord msum, mcar, tsum, tcar;
-    for (int x = 0; x < mant_words; ++x) {
-      msum.data()[x] = mant_sw[L * mant_words + x];
-      mcar.data()[x] = mant_cw[L * mant_words + x];
+    const int e_r = e_p[L] + (max_skip - skip[L]) * block - g_.align();
+    const ResultClass rc =
+        result_class(((nonzero >> L) & 1u) == 0, ((negative >> L) & 1u) != 0,
+                     e_r, events);
+    if (rc.cls != FpClass::Normal) {
+      out[L] = rc.cls == FpClass::Inf ? PFloat::inf(kBinary64, rc.sign)
+                                      : PFloat::zero(kBinary64, rc.sign);
+      continue;
     }
-    tsum.data()[0] = tail_sw[L];
-    tcar.data()[0] = tail_cw[L];
-    const int mant_lo = (max_skip - skip[L]) * block;
-    out[L] = cs_to_ieee(result(PcsNum(m, g_.group(), msum, mcar),
-                               PcsNum(t_digits, g_.group(), tsum, tcar),
-                               e_p[L] + mant_lo - g_.align(), events),
-                        kBinary64, hooks.rm);
+    WideUint<8> xhat;
+    for (int i = 0; i < x_words; ++i)
+      xhat.set_word(i, xhat_w[L * kXhatWords + i]);
+    out[L] = round_xhat(xhat.sext(xw), e_r - g_.frac_bits(), kBinary64,
+                        hooks.rm);
   }
 }
 

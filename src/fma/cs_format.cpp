@@ -32,6 +32,8 @@ void CsGeometry::validate() const {
   CSFMA_CHECK_MSG(block_ % group_ == 0, "carry spacing must divide the block");
   CSFMA_CHECK_MSG(adder_width() <= kCsWordBits,
                   "adder window exceeds the CsWord workspace");
+  CSFMA_CHECK_MSG(mant_digits() < U128::kBits,
+                  "mantissa exceeds the 128-bit lift word");
 }
 
 CsOperand::CsOperand()
@@ -118,11 +120,8 @@ PFloat CsOperand::exact_value() const {
     case FpClass::NaN: return PFloat::nan(kWideExact);
     case FpClass::Normal: break;
   }
-  const WideUint<8> x = assimilated(*this);
-  const bool sign = x.bit(WideUint<8>::kBits - 1);
-  return PFloat::normalize_round(kWideExact, sign, sign ? -x : x,
-                                 exp_ - g_.frac_bits(), false,
-                                 Round::NearestEven);
+  return round_xhat(assimilated(*this), exp_ - g_.frac_bits(), kWideExact,
+                    Round::NearestEven);
 }
 
 std::string CsOperand::to_string() const {
@@ -211,13 +210,14 @@ int lifted_exp(const CsGeometry& g, const PFloat& x) {
 }
 
 LiftedSig lift_significand(const CsGeometry& g, const PFloat& x) {
+  // The kept significand, MSB at digit sig_msb (< M - 1, so the magnitude
+  // leaves the sign digit clear), in M-digit two's complement.
   const int keep = kept_bits(g, x);
-  const U128 sig = x.sig() >> (x.format().precision() - keep);
-  const CsWord mag = CsWord(WideUint<7>(WideUint<2>(sig)))
-                     << (g.sig_msb() - (keep - 1));
+  const U128 mag = (x.sig() >> (x.format().precision() - keep))
+                   << (g.sig_msb() - (keep - 1));
   const int exp = lifted_exp(g, x);
   CSFMA_CHECK(exp >= kCsExpMin && exp <= kCsExpMax);
-  return {CsNum::from_signed(g.mant_digits(), x.sign(), mag).sum(), exp};
+  return {(x.sign() ? -mag : mag).truncated(g.mant_digits()), exp};
 }
 
 CsOperand ieee_to_cs(const CsGeometry& g, const PFloat& x) {
@@ -228,7 +228,8 @@ CsOperand ieee_to_cs(const CsGeometry& g, const PFloat& x) {
     case FpClass::Normal: break;
   }
   const LiftedSig s = lift_significand(g, x);
-  return CsOperand(g, PcsNum(g.mant_digits(), g.group(), s.mant, CsWord()),
+  return CsOperand(g,
+                   PcsNum(g.mant_digits(), g.group(), CsWord(s.mant), CsWord()),
                    PcsNum::zero(g.tail_digits(), g.group()), s.exp,
                    FpClass::Normal, x.sign());
 }
@@ -240,11 +241,16 @@ PFloat cs_to_ieee(const CsOperand& x, const FloatFormat& fmt, Round rm) {
     case FpClass::NaN: return PFloat::nan(fmt);
     case FpClass::Normal: break;
   }
-  const WideUint<8> xhat = assimilated(x);
-  if (xhat.is_zero()) return PFloat::zero(fmt, false);
+  return round_xhat(assimilated(x), x.exp() - x.geometry().frac_bits(), fmt,
+                    rm);
+}
+
+PFloat round_xhat(const WideUint<8>& xhat, int exp2, const FloatFormat& fmt,
+                  Round rm) {
+  // A zero X̂ reads +0 (normalize_round's signed zero, sign clear).
   const bool sign = xhat.bit(WideUint<8>::kBits - 1);
-  return PFloat::normalize_round(fmt, sign, sign ? -xhat : xhat,
-                                 x.exp() - x.geometry().frac_bits(), false, rm);
+  return PFloat::normalize_round(fmt, sign, sign ? -xhat : xhat, exp2, false,
+                                 rm);
 }
 
 }  // namespace csfma

@@ -229,11 +229,12 @@ class CsOperand {
 /// significand digits truncate its low bits on entry.
 CsOperand ieee_to_cs(const CsGeometry& g, const PFloat& x);
 
-/// What a Normal value lifts to, without the operand around it (the
-/// sliced unit packs it straight into planes): the carry-free M-digit
-/// two's-complement mantissa and the operand exponent.
+/// What a Normal value lifts to, without the operand around it: the
+/// carry-free M-digit two's-complement mantissa (M <= 124, so one 128-bit
+/// word) and the operand exponent.  ieee_to_cs widens it into an operand;
+/// the sliced unit reads its tile chunks, A row and sign runs from it.
 struct LiftedSig {
-  CsWord mant;
+  U128 mant;
   int exp;
 };
 LiftedSig lift_significand(const CsGeometry& g, const PFloat& x);
@@ -243,5 +244,12 @@ int lifted_exp(const CsGeometry& g, const PFloat& x);
 /// Conversion CS operand -> IEEE-style format: full assimilation,
 /// normalization and a single rounding — the chain-exit CVT operator.
 PFloat cs_to_ieee(const CsOperand& x, const FloatFormat& fmt, Round rm);
+
+/// The one rounding of an assimilated value: X̂ · 2^exp2, X̂ in two's
+/// complement across the 512-bit workspace, rounded once to `fmt`.
+/// cs_to_ieee, exact_value and the sliced unit's plane-form readout all
+/// end here.
+PFloat round_xhat(const WideUint<8>& xhat, int exp2, const FloatFormat& fmt,
+                  Round rm);
 
 }  // namespace csfma

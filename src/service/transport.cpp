@@ -10,6 +10,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -254,7 +256,12 @@ int serve_connections(Listener& listener, const ServerConfig& cfg) {
                                            Stability::Timing);
   }
   int served = 0;
-  std::vector<std::thread> threads;
+  // Each connection thread posts its id as it ends; the loop joins the
+  // posted ones after every accept, so a finished connection's stack is
+  // released while the daemon runs, and joins the rest at exit.
+  std::map<int, std::thread> threads;
+  std::mutex ended_mu;
+  std::vector<int> ended;
   for (;;) {
     const int fd = listener.accept_conn();
     if (fd < 0) break;
@@ -262,17 +269,31 @@ int serve_connections(Listener& listener, const ServerConfig& cfg) {
     if (accepted != nullptr) accepted->add();
     ServiceConfig session_cfg = cfg.session;
     session_cfg.conn = "conn-" + std::to_string(served);
-    threads.emplace_back([fd, session_cfg, idle = cfg.idle_timeout_s,
-                          &listener, closed] {
+    threads.emplace(served, std::thread([fd, session_cfg, id = served,
+                                         idle = cfg.idle_timeout_s,
+                                         &listener, closed, &ended_mu,
+                                         &ended] {
       LineChannel ch(fd, fd);
       const bool shutdown = run_session_on_channel(ch, session_cfg, idle);
       ::close(fd);
       if (closed != nullptr) closed->add();
       // One client's shutdown request stops the whole daemon.
       if (shutdown) listener.stop();
-    });
+      const std::lock_guard<std::mutex> lock(ended_mu);
+      ended.push_back(id);
+    }));
+    std::vector<int> finished;
+    {
+      const std::lock_guard<std::mutex> lock(ended_mu);
+      finished.swap(ended);
+    }
+    for (int id : finished) {
+      const auto it = threads.find(id);
+      it->second.join();
+      threads.erase(it);
+    }
   }
-  for (auto& t : threads) t.join();
+  for (auto& [id, t] : threads) t.join();
   return served;
 }
 

@@ -12,7 +12,9 @@
 //     stoppable accept loop.
 //   - serve_connections() — the multi-client server: one thread + one
 //     ServiceSession per accepted connection, every session sharing the
-//     caller's cache/metrics through its ServiceConfig.  Idle connections
+//     caller's cache/metrics through its ServiceConfig.  A connection's
+//     thread is joined by the next accept after it ends, so a long-running
+//     daemon holds no stacks of finished connections.  Idle connections
 //     (no request AND no job in flight for idle_timeout_s) are closed so
 //     one silent client cannot pin a connection slot forever; a client
 //     that disconnects mid-job just stops receiving lines — its session

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/activity.hpp"
@@ -376,6 +377,23 @@ TEST(Slice, ObservePlanesMatchesSequentialObserve) {
           << "width " << width << " after batch of " << n;
       ASSERT_EQ(sliced_probe.observations(), scalar_probe.observations());
     }
+  }
+  // One probe pair across changing widths: each batch's seam meets a
+  // stored baseline wider or narrower than itself.
+  const int stride = CsWord::kWords;
+  ActivityProbe scalar_probe, sliced_probe;
+  const std::pair<int, int> batches[] = {
+      {448, 40}, {110, 1}, {385, 64}, {161, 1}, {64, 17}, {448, 1}};
+  for (const auto& [width, n] : batches) {
+    const auto lanes = random_lanes(rng, n, width, stride);
+    for (int L = 0; L < n; ++L)
+      scalar_probe.observe(cs_of_lane(lanes, stride, L));
+    std::vector<std::uint64_t> planes((std::size_t)width);
+    slice::pack_words(lanes.data(), stride, n, width, planes.data());
+    sliced_probe.observe_planes(planes.data(), width, n);
+    ASSERT_EQ(sliced_probe.toggles(), scalar_probe.toggles())
+        << "width " << width << " after batch of " << n;
+    ASSERT_EQ(sliced_probe.observations(), scalar_probe.observations());
   }
 }
 

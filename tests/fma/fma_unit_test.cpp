@@ -140,7 +140,10 @@ std::uint64_t fnv_bytes(const void* p, std::size_t n, std::uint64_t h) {
 /// A seeded stream mixing every path of the CS datapath: balanced ops,
 /// A pass-through, exact and near cancellation, zero/inf/NaN operands,
 /// exponent extremes (subnormal flush, overflow) and power-of-two B/C.
-std::vector<OperandTriple> adversarial_stream(std::size_t n) {
+/// A and C are drawn in `ac`, B in `b` (each value rounded from a double).
+std::vector<OperandTriple> adversarial_stream(std::size_t n,
+                                              FloatFormat ac = kBinary64,
+                                              FloatFormat b_fmt = kBinary64) {
   Rng rng(4243);
   std::vector<OperandTriple> ops;
   for (std::size_t i = 0; i < n; ++i) {
@@ -166,9 +169,8 @@ std::vector<OperandTriple> adversarial_stream(std::size_t n) {
       b = std::ldexp(rng.next_bool() ? 1.0 : -1.0, (int)rng.next_int(-30, 30));
       c = std::ldexp(rng.next_bool() ? 1.0 : -1.0, (int)rng.next_int(-30, 30));
     }
-    ops.push_back({PFloat::from_double(kBinary64, a),
-                   PFloat::from_double(kBinary64, b),
-                   PFloat::from_double(kBinary64, c)});
+    ops.push_back({PFloat::from_double(ac, a), PFloat::from_double(b_fmt, b),
+                   PFloat::from_double(ac, c)});
   }
   return ops;
 }
@@ -177,9 +179,11 @@ using UnitFactory = std::function<std::unique_ptr<FmaUnit>(
     ActivityRecorder*, const IntrospectHooks*)>;
 
 /// FNV-1a over a unit's results, activity JSON and event-log JSON on the
-/// stream, through its own batch path or the base-class scalar loop.
-std::uint64_t digest_of(const UnitFactory& make, bool scalar) {
-  const std::vector<OperandTriple> ops = adversarial_stream(4096);
+/// stream (by default 4096 adversarial binary64 triples rounded half away
+/// from zero), through its own batch path or the base-class scalar loop.
+std::uint64_t digest_of(const UnitFactory& make, bool scalar,
+                        const std::vector<OperandTriple>& ops,
+                        Round rm = Round::HalfAwayFromZero) {
   ActivityRecorder rec;
   EventLog events(1 << 16);
   IntrospectHooks hooks;
@@ -187,7 +191,7 @@ std::uint64_t digest_of(const UnitFactory& make, bool scalar) {
   auto unit = make(&rec, &hooks);
   std::vector<PFloat> out(ops.size());
   FmaBatchHooks bh;
-  bh.rm = Round::HalfAwayFromZero;
+  bh.rm = rm;
   bh.events = &events;
   if (scalar) {
     unit->FmaUnit::fma_ieee_batch(ops.data(), ops.size(), out.data(), bh);
@@ -204,12 +208,15 @@ std::uint64_t digest_of(const UnitFactory& make, bool scalar) {
   return fnv_bytes(ev.data(), ev.size(), h);
 }
 
-std::uint64_t unit_digest(const CsGeometry& g, bool scalar) {
+std::uint64_t unit_digest(const CsGeometry& g, bool scalar,
+                          const std::vector<OperandTriple>& ops =
+                              adversarial_stream(4096),
+                          Round rm = Round::HalfAwayFromZero) {
   return digest_of(
       [&](ActivityRecorder* rec, const IntrospectHooks* hooks) {
         return make_cs_unit(g, rec, hooks);
       },
-      scalar);
+      scalar, ops, rm);
 }
 
 std::uint64_t unit_digest(UnitKind kind, bool scalar) {
@@ -217,7 +224,7 @@ std::uint64_t unit_digest(UnitKind kind, bool scalar) {
       [&](ActivityRecorder* rec, const IntrospectHooks* hooks) {
         return make_fma_unit(kind, rec, hooks);
       },
-      scalar);
+      scalar, adversarial_stream(4096));
 }
 
 TEST(FmaUnit, FusedUnitsMatchRecordedDigests) {
@@ -246,6 +253,30 @@ TEST(FmaUnit, SlicedBatchMatchesScalarAtEveryGeometry) {
         CsGeometry::fcs(BlockSelect::Zd)}) {
     EXPECT_EQ(unit_digest(g, false), unit_digest(g, true))
         << g.block() << "/" << g.group() << " " << to_string(g.select());
+  }
+  // Every rounding mode through the plane-form readout...
+  const std::vector<OperandTriple> b64 = adversarial_stream(1024);
+  for (const CsGeometry& g : {kPcsGeometry, kFcsGeometry}) {
+    for (Round rm : {Round::NearestEven, Round::HalfAwayFromZero,
+                     Round::TowardZero, Round::TowardPositive,
+                     Round::TowardNegative}) {
+      EXPECT_EQ(unit_digest(g, false, b64, rm), unit_digest(g, true, b64, rm))
+          << g.block() << "/" << g.group() << " " << to_string(rm);
+    }
+  }
+  // ...and operands narrower than binary64, and 54-bit A and C.
+  const FloatFormat binary32{8, 23}, wide54{11, 53};
+  const std::vector<OperandTriple> b32 =
+      adversarial_stream(1024, binary32, binary32);
+  const std::vector<OperandTriple> w54 = adversarial_stream(1024, wide54);
+  for (const CsGeometry& g :
+       {CsGeometry::pcs(8, 2), CsGeometry::pcs(22, 11), kPcsGeometry,
+        kFcsGeometry, CsGeometry::fcs(BlockSelect::Zd)}) {
+    EXPECT_EQ(unit_digest(g, false, b32), unit_digest(g, true, b32))
+        << "binary32 " << g.block() << "/" << g.group();
+    EXPECT_EQ(unit_digest(g, false, w54), unit_digest(g, true, w54))
+        << "54-bit A, C " << g.block() << "/" << g.group() << " "
+        << to_string(g.select());
   }
 }
 

@@ -1,6 +1,8 @@
 // The CS unit across PCS geometries (the paper's Sec. V future work).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "fma/cs_fma.hpp"
 
@@ -124,6 +126,24 @@ TEST(PcsConfig, WideGeometriesAreExactAtBinary64) {
       PFloat got = unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
       PFloat ref = PFloat::fma(b, c, a, kBinary64, Round::HalfAwayFromZero);
       ASSERT_TRUE(PFloat::same_value(got, ref)) << cfg.block() << "/" << cfg.group();
+    }
+  }
+  // A negative addend far below the product lands right of the window's
+  // lsb; its sign must still fill the window to the top.  The widest
+  // windows (blocks >= 58) need the arithmetic shift across more than
+  // 512 - W digits.
+  const PFloat b = PFloat::from_double(kBinary64, 1.5);
+  const PFloat c = PFloat::from_double(kBinary64, -1.25);
+  for (const CsGeometry& cfg : {CsGeometry::pcs(58, 2), CsGeometry::pcs(62, 31)}) {
+    CsFma unit(cfg);
+    for (int e = -330; e <= -150; ++e) {
+      for (double sig : {-1.2345, 1.75}) {
+        const PFloat a = PFloat::from_double(kBinary64, std::ldexp(sig, e));
+        PFloat got = unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
+        PFloat ref = PFloat::fma(b, c, a, kBinary64, Round::HalfAwayFromZero);
+        ASSERT_TRUE(PFloat::same_value(got, ref))
+            << cfg.block() << "/" << cfg.group() << " A " << a.to_string();
+      }
     }
   }
 }

@@ -127,7 +127,35 @@ class DecisionRuleTest(unittest.TestCase):
         lines = gate.table({"batch": rows}).splitlines()
         self.assertEqual(len(lines), 2 + len(METRICS))
         self.assertIn("| batch | throughput_per_s | 0.500 | 0.500 | 0.500 "
+                      "| 1000 (1000..1000) | 500 (500..500) | 0/10 "
                       "| 0.2 (>= 0.800) | FAIL |", lines)
+
+    def test_side_medians_and_wins(self):
+        # Parent throughput 10..19; the change ties pair 1, loses pair 2
+        # and doubles the rest.  setup_s (lower is better) drops in three
+        # pairs and ties in the others.
+        p = []
+        for i in range(gate.PAIRS):
+            parent = dict(PARENT, throughput_per_s=10.0 + i)
+            change = dict(parent, throughput_per_s=(10.0 if i < 2
+                                                    else 2 * (10.0 + i)))
+            if i in (3, 5, 7):
+                change["setup_s"] = parent["setup_s"] / 2
+            p.append((run(parent), run(change)))
+        rows, failures = self.judge(p)
+        self.assertEqual(failures, [])
+        by_name = {r["metric"]: r for r in rows}
+        tp = by_name["throughput_per_s"]
+        self.assertEqual(tp["parent"], (14.5, 11.75, 17.25))
+        self.assertEqual(tp["change"], (29.0, 20.5, 34.5))
+        self.assertEqual((tp["wins"], tp["pairs"]), (8, 10))
+        self.assertEqual(tp["median"], 2.0)
+        self.assertEqual(by_name["setup_s"]["wins"], 3)
+        self.assertEqual(by_name["peak_rss_mb"]["wins"], 0)
+        self.assertIn("| w | throughput_per_s | 2.000 | 1.750 | 2.000 "
+                      "| 14.5 (11.75..17.25) | 29 (20.5..34.5) | 8/10 "
+                      "| 0.2 (>= 0.800) | pass |",
+                      gate.table({"w": rows}).splitlines())
 
 
 class PairRunnerTest(unittest.TestCase):

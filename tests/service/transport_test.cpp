@@ -12,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -279,6 +280,55 @@ TEST_F(TransportTest, ServeConnectionsMultiplexesClientsOverSharedCache) {
   EXPECT_EQ(
       metrics.counter("service.conn.closed", Stability::Timing).value(),
       2u);
+}
+
+/// This process's virtual size (VmSize) in kB.
+long vm_size_kb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  char line[256];
+  long kb = -1;
+  while (std::fgets(line, sizeof line, f) != nullptr)
+    if (std::sscanf(line, "VmSize: %ld kB", &kb) == 1) break;
+  std::fclose(f);
+  return kb;
+}
+
+TEST_F(TransportTest, FinishedConnectionsReleaseTheirThreads) {
+  // A daemon serving many short connections must not keep their threads:
+  // each unjoined one holds its stack mapping (8 MB of address space by
+  // default) until the daemon stops.
+  std::string err;
+  auto listener = listen_tcp("127.0.0.1:0", &err);
+  ASSERT_NE(listener, nullptr) << err;
+  MetricsRegistry metrics;
+  ServerConfig cfg;
+  cfg.session.workers = 1;
+  cfg.session.metrics = &metrics;
+  std::thread server([&] { serve_connections(*listener, cfg); });
+  const Counter& closed =
+      metrics.counter("service.conn.closed", Stability::Timing);
+
+  const auto one_connection = [&](std::uint64_t n) {
+    const int fd = connect_tcp_client(listener->port());
+    LineChannel ch(fd, fd);
+    EXPECT_FALSE(roundtrip(ch, R"({"type":"stats","id":"s"})", "stats")
+                     .empty());
+    ::close(fd);
+    for (int ms = 0; closed.value() < n && ms < 10000; ++ms)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(closed.value(), n);
+  };
+  one_connection(1);  // the first thread's stack is in the baseline
+  const long before = vm_size_kb();
+  ASSERT_GT(before, 0);
+  constexpr int kConnections = 40;
+  for (int i = 0; i < kConnections; ++i) one_connection(2 + (std::uint64_t)i);
+  const long grown = vm_size_kb() - before;
+  EXPECT_LT(grown, 40 * 1024) << "VmSize grew " << grown << " kB over "
+                              << kConnections << " finished connections";
+  listener->stop();
+  server.join();
 }
 
 TEST_F(TransportTest, UnixListenerRoundTripAndCleanup) {
