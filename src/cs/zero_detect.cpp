@@ -89,7 +89,9 @@ bool leading_block_skippable_fast(const std::uint64_t* s,
   const int d1 = digit_at(lo - 1), d2 = digit_at(lo - 2);
   if (nz == 0) return d1 == 0 && d2 == 0;                        // AllZero
   if (ones == all) return d1 == 1 || (d1 == 2 && d2 == 0);       // AllOnes
-  if (std::popcount(twos) == 1) {                                // 1...120...0?
+  // Exactly one 2 (a power-of-two test: std::popcount would call libgcc's
+  // __popcountdi2 at the default x86-64 target).
+  if (twos != 0 && (twos & (twos - 1)) == 0) {                   // 1...120...0?
     const int p = std::countr_zero(twos);
     const bool ones_above = (ones >> (p + 1)) == (all >> (p + 1));
     const bool zeros_below = (nz & ((std::uint64_t{1} << p) - 1)) == 0;

@@ -16,18 +16,18 @@ struct Term {
 /// Collect the additive terms of the maximal add/sub tree rooted at `id`.
 /// Internal nodes must be single-use adds/subs; returns false if the tree
 /// grows beyond `max_terms` leaves.
-bool collect_terms(const Cdfg& g, int id, bool negated, bool is_root,
-                   int max_terms, std::vector<Term>* terms,
+bool collect_terms(const Cdfg& g, const UseIndex& uses, int id, bool negated,
+                   bool is_root, int max_terms, std::vector<Term>* terms,
                    std::vector<int>* internal) {
   const Node& n = g.node(id);
   const bool is_sum = n.kind == OpKind::Add || n.kind == OpKind::Sub;
-  if (is_sum && (is_root || g.users(id).size() == 1)) {
+  if (is_sum && (is_root || uses.users(id).size() == 1)) {
     internal->push_back(id);
-    if (!collect_terms(g, n.args[0], negated, false, max_terms, terms,
+    if (!collect_terms(g, uses, n.args[0], negated, false, max_terms, terms,
                        internal))
       return false;
     const bool rhs_neg = n.kind == OpKind::Sub ? !negated : negated;
-    return collect_terms(g, n.args[1], rhs_neg, false, max_terms, terms,
+    return collect_terms(g, uses, n.args[1], rhs_neg, false, max_terms, terms,
                          internal);
   }
   if ((int)terms->size() >= max_terms) return false;
@@ -43,6 +43,14 @@ DotInsertStats insert_dot_products(Cdfg& g, const OperatorLibrary& lib,
   for (;;) {
     ++stats.rounds;
     std::vector<bool> crit = critical_nodes(g, lib);
+    // Every use count below reads this snapshot, taken before the rewrite:
+    // a product read both by a fused leaf and as a leaf of its own must not
+    // look single-use once that leaf is marked dead.
+    const UseIndex uses(g);
+    // A leaf is fused when it is a product with no other user.
+    auto fusable = [&](int leaf) {
+      return g.node(leaf).kind == OpKind::Mul && uses.users(leaf).size() == 1;
+    };
     bool changed = false;
     for (int id : g.topo_order()) {
       const Node& n = g.node(id);
@@ -50,22 +58,19 @@ DotInsertStats insert_dot_products(Cdfg& g, const OperatorLibrary& lib,
       if (!crit[(size_t)id]) continue;
       // Only maximal trees: the root must not itself feed another
       // single-use add/sub (that bigger tree will be found instead).
-      auto users = g.users(id);
+      const auto users = uses.users(id);
       if (users.size() == 1) {
         OpKind uk = g.node(users[0]).kind;
         if (uk == OpKind::Add || uk == OpKind::Sub) continue;
       }
       std::vector<Term> terms;
       std::vector<int> internal;
-      if (!collect_terms(g, id, false, true, max_terms, &terms, &internal))
+      if (!collect_terms(g, uses, id, false, true, max_terms, &terms,
+                         &internal))
         continue;
-      // Count fusable product leaves.
       int product_leaves = 0;
-      for (const Term& t : terms) {
-        const Node& leaf = g.node(t.value);
-        if (leaf.kind == OpKind::Mul && g.users(t.value).size() == 1)
-          ++product_leaves;
-      }
+      for (const Term& t : terms)
+        if (fusable(t.value)) ++product_leaves;
       if (product_leaves < 2) continue;
 
       // Build the pair list.
@@ -73,8 +78,8 @@ DotInsertStats insert_dot_products(Cdfg& g, const OperatorLibrary& lib,
       const int one = g.add_const(1.0);
       const int minus_one = g.add_const(-1.0);
       for (const Term& t : terms) {
-        const Node& leaf = g.node(t.value);
-        if (leaf.kind == OpKind::Mul && g.users(t.value).size() == 1) {
+        if (fusable(t.value)) {
+          const Node& leaf = g.node(t.value);
           int x = leaf.args[0], y = leaf.args[1];
           if (t.negated) x = g.add_op(OpKind::Neg, {x});
           args.push_back(x);
@@ -87,7 +92,9 @@ DotInsertStats insert_dot_products(Cdfg& g, const OperatorLibrary& lib,
       }
       const int dot = g.add_op(OpKind::Dot, std::move(args), FmaStyle::Pcs);
       const int back = g.add_op(OpKind::CvtFromCs, {dot}, FmaStyle::Pcs);
-      g.replace_uses(id, back);
+      std::vector<int> forwarded((size_t)g.num_nodes(), -1);
+      forwarded[(size_t)id] = back;
+      g.forward(forwarded);
       for (int t : internal) g.mark_dead(t);
       stats.dots_inserted += 1;
       stats.terms_fused += (int)terms.size();

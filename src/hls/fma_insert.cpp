@@ -1,7 +1,5 @@
 #include "hls/fma_insert.hpp"
 
-#include <map>
-
 #include "hls/schedule.hpp"
 
 namespace csfma {
@@ -21,8 +19,9 @@ struct Candidate {
 /// Find all critical multiply/add(or sub) pairs (Fig 12a -> 12b).
 std::vector<Candidate> find_candidates(const Cdfg& g,
                                        const OperatorLibrary& lib) {
-  std::vector<bool> crit = critical_nodes(g, lib);
   const Schedule asap = schedule_asap(g, lib);
+  const std::vector<bool> crit = critical_nodes(g, lib, asap);
+  const UseIndex uses(g);
   auto finish = [&](int id) {
     const Node& n = g.node(id);
     return asap.start[(size_t)id] + lib.attr(n.kind, n.style).latency;
@@ -42,7 +41,7 @@ std::vector<Candidate> find_candidates(const Cdfg& g,
       const Node& mn = g.node(m);
       if (mn.kind != OpKind::Mul) continue;
       if (mul_taken[(size_t)m]) continue;
-      if (g.users(m).size() != 1) continue;  // product needed elsewhere
+      if (uses.users(m).size() != 1) continue;  // product needed elsewhere
       Candidate c;
       c.add_id = id;
       c.mul_id = m;
@@ -74,12 +73,15 @@ std::vector<Candidate> find_candidates(const Cdfg& g,
   return out;
 }
 
+/// Fuse one candidate, recording forwarded[add] = the value replacing it.
+/// The round forwards the recorded uses once, after its last candidate.
 void apply_candidate(Cdfg& g, const Candidate& c, FmaStyle style,
-                     std::map<int, int>& forwarded) {
+                     std::vector<int>& forwarded) {
   // Any captured operand may itself have been fused by an earlier candidate
   // of this round; chase the forwarding chain to the live replacement.
   auto resolve = [&forwarded](int id) {
-    while (forwarded.count(id) != 0) id = forwarded.at(id);
+    while ((size_t)id < forwarded.size() && forwarded[(size_t)id] >= 0)
+      id = forwarded[(size_t)id];
     return id;
   };
   int b = resolve(c.b_id);
@@ -91,25 +93,26 @@ void apply_candidate(Cdfg& g, const Candidate& c, FmaStyle style,
   const int cvt_c = g.add_op(OpKind::CvtToCs, {cc}, style);
   const int fma = g.add_op(OpKind::Fma, {cvt_a, b, cvt_c}, style);
   const int back = g.add_op(OpKind::CvtFromCs, {fma}, style);
-  g.replace_uses(c.add_id, back);
   g.mark_dead(c.add_id);
   g.mark_dead(c.mul_id);
-  forwarded[c.add_id] = back;
+  forwarded[(size_t)c.add_id] = back;
 }
 
-/// Fig 12c: CvtToCs(CvtFromCs(v)) of matching style -> v.
+/// Fig 12c: CvtToCs(CvtFromCs(v)) of matching style -> v.  The CvtFromCs
+/// may be left unused; the round prunes it.
 int elide_conversions(Cdfg& g) {
   int elided = 0;
+  std::vector<int> forwarded((size_t)g.num_nodes(), -1);
   for (int id : g.topo_order()) {
     const Node& n = g.node(id);
     if (n.kind != OpKind::CvtToCs) continue;
     const Node& a = g.node(n.args[0]);
     if (a.kind != OpKind::CvtFromCs || a.style != n.style) continue;
-    g.replace_uses(id, a.args[0]);
+    forwarded[(size_t)id] = a.args[0];
     g.mark_dead(id);
     ++elided;
   }
-  g.prune_dead();  // the CvtFromCs may now be unused
+  g.forward(forwarded);
   return elided;
 }
 
@@ -123,8 +126,9 @@ FmaInsertStats insert_fma_units(Cdfg& g, const OperatorLibrary& lib,
     ++stats.rounds;
     auto cands = find_candidates(g, lib);
     if (cands.empty()) break;
-    std::map<int, int> forwarded;
+    std::vector<int> forwarded((size_t)g.num_nodes(), -1);
     for (const auto& c : cands) apply_candidate(g, c, style, forwarded);
+    g.forward(forwarded);
     stats.fma_inserted += (int)cands.size();
     if (elide) stats.conversions_elided += elide_conversions(g);
     g.prune_dead();

@@ -99,11 +99,6 @@ const Node& Cdfg::node(int id) const {
   return nodes_[(size_t)id];
 }
 
-Node& Cdfg::node(int id) {
-  CSFMA_CHECK(id >= 0 && id < (int)nodes_.size());
-  return nodes_[(size_t)id];
-}
-
 std::vector<int> Cdfg::live_nodes() const {
   std::vector<int> out;
   for (const auto& n : nodes_)
@@ -145,26 +140,25 @@ std::vector<int> Cdfg::topo_order() const {
   return order;
 }
 
-std::vector<int> Cdfg::users(int id) const {
-  std::vector<int> out;
-  for (const auto& n : nodes_) {
-    if (n.dead) continue;
-    for (int a : n.args)
-      if (a == id) out.push_back(n.id);
-  }
-  return out;
-}
-
-void Cdfg::replace_uses(int old_id, int new_id) {
-  CSFMA_CHECK(old_id != new_id);
+void Cdfg::forward(const std::vector<int>& to) {
+  auto target = [&to](int id) {
+    for (size_t hops = 0; (size_t)id < to.size() && to[(size_t)id] >= 0;
+         ++hops) {
+      CSFMA_CHECK_MSG(hops < to.size(), "forwarding cycle at node " << id);
+      id = to[(size_t)id];
+    }
+    return id;
+  };
   for (auto& n : nodes_) {
     if (n.dead) continue;
-    for (auto& a : n.args)
-      if (a == old_id) a = new_id;
+    for (auto& a : n.args) a = target(a);
   }
 }
 
-void Cdfg::mark_dead(int id) { node(id).dead = true; }
+void Cdfg::mark_dead(int id) {
+  CSFMA_CHECK(id >= 0 && id < (int)nodes_.size());
+  nodes_[(size_t)id].dead = true;
+}
 
 int Cdfg::prune_dead() {
   std::vector<bool> reachable(nodes_.size(), false);
@@ -306,6 +300,31 @@ std::string Cdfg::to_dot(const std::string& graph_name) const {
   }
   os << "}\n";
   return os.str();
+}
+
+UseIndex::UseIndex(const Cdfg& g) : first_((size_t)g.num_nodes() + 1, 0) {
+  const int n = g.num_nodes();
+  // Count each node's uses one slot ahead, so the prefix sum leaves
+  // first_[id] at the start of id's list.
+  for (int id = 0; id < n; ++id) {
+    const Node& nd = g.node(id);
+    if (nd.dead) continue;
+    for (int a : nd.args) {
+      CSFMA_CHECK_MSG(a >= 0 && a < n, "dangling arg at node " << id);
+      ++first_[(size_t)a + 1];
+    }
+  }
+  for (size_t i = 1; i < first_.size(); ++i) first_[i] += first_[i - 1];
+  users_.resize((size_t)first_.back());
+  // Fill in ascending user id; first_[a] advances to the end of a's list,
+  // which is where a + 1's list starts, so shifting by one restores it.
+  for (int id = 0; id < n; ++id) {
+    const Node& nd = g.node(id);
+    if (nd.dead) continue;
+    for (int a : nd.args) users_[(size_t)first_[(size_t)a]++] = id;
+  }
+  for (size_t i = first_.size() - 1; i > 0; --i) first_[i] = first_[i - 1];
+  first_[0] = 0;
 }
 
 Cdfg rebuild_topo(const Cdfg& g) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,20 +60,18 @@ class Cdfg {
   int add_op(OpKind kind, std::vector<int> args, FmaStyle style = FmaStyle::None);
 
   const Node& node(int id) const;
-  Node& node(int id);
   int num_nodes() const { return (int)nodes_.size(); }
 
   /// Live (non-dead) node ids in creation order.
   std::vector<int> live_nodes() const;
   /// Live node ids in a topological order (inputs/consts first).
   std::vector<int> topo_order() const;
-  /// ids of nodes that use `id` as an argument, one entry per use edge: a
-  /// node reading `id` twice (y = t * t) is listed twice, so the size is
-  /// the fan-out the schedulers and fusion passes count.
-  std::vector<int> users(int id) const;
 
-  /// Replace every use of `old_id` with `new_id` (Output args included).
-  void replace_uses(int old_id, int new_id);
+  /// Forward values: every arg `a` of a live node (Output args included)
+  /// with `to[a] >= 0` becomes `to[a]`, following chains (to[to[a]] ...).
+  /// Ids at or beyond to.size() stay.  One pass over the live nodes' args,
+  /// so a pass records all of a round's replacements and forwards once.
+  void forward(const std::vector<int>& to);
   void mark_dead(int id);
   /// Mark nodes unreachable from outputs dead.  Returns removed count.
   int prune_dead();
@@ -93,6 +92,34 @@ class Cdfg {
 
  private:
   std::vector<Node> nodes_;
+};
+
+/// The use edges of a graph, indexed once in O(nodes + edges): a snapshot
+/// the passes query instead of scanning every node per question.
+///
+/// users(id) lists the live nodes that read `id`, in ascending id, one
+/// entry per use edge: a node reading `id` twice (y = t * t) is listed
+/// twice, so the size is the fan-out the schedulers and fusion passes
+/// count.  The list scheduler breaks priority ties by this order.
+///
+/// The index describes the graph as it was when built and is valid until
+/// the next mutation (add_*, forward, mark_dead, prune_dead).  Looking up a
+/// node appended after the snapshot throws.
+class UseIndex {
+ public:
+  explicit UseIndex(const Cdfg& g);
+
+  std::span<const int> users(int id) const& {
+    CSFMA_CHECK_MSG(id >= 0 && (std::size_t)id + 1 < first_.size(),
+                    "node " << id << " is not in the use index");
+    return {users_.data() + first_[(std::size_t)id],
+            users_.data() + first_[(std::size_t)id + 1]};
+  }
+  std::span<const int> users(int id) const&& = delete;  // would dangle
+
+ private:
+  std::vector<int> first_;  // users of id: users_[first_[id], first_[id + 1])
+  std::vector<int> users_;
 };
 
 /// Rebuild a graph containing only live nodes, renumbered in topological

@@ -13,15 +13,16 @@ struct Term {
 
 /// Collect the additive terms of the maximal tree rooted at `id` (internal
 /// nodes single-use below the root).
-void collect(const Cdfg& g, int id, bool negated, bool is_root,
-             std::vector<Term>* terms, std::vector<int>* internal) {
+void collect(const Cdfg& g, const UseIndex& uses, int id, bool negated,
+             bool is_root, std::vector<Term>* terms,
+             std::vector<int>* internal) {
   const Node& n = g.node(id);
   const bool is_sum = n.kind == OpKind::Add || n.kind == OpKind::Sub;
-  if (is_sum && (is_root || g.users(id).size() == 1)) {
+  if (is_sum && (is_root || uses.users(id).size() == 1)) {
     internal->push_back(id);
-    collect(g, n.args[0], negated, false, terms, internal);
-    collect(g, n.args[1], n.kind == OpKind::Sub ? !negated : negated, false,
-            terms, internal);
+    collect(g, uses, n.args[0], negated, false, terms, internal);
+    collect(g, uses, n.args[1], n.kind == OpKind::Sub ? !negated : negated,
+            false, terms, internal);
     return;
   }
   terms->push_back({id, negated});
@@ -42,12 +43,14 @@ ReassociateStats reassociate_sums(Cdfg& g, const OperatorLibrary& lib,
                                   int min_terms) {
   (void)lib;
   ReassociateStats stats;
-  // Snapshot the roots first: the rewrite appends nodes.
+  // Snapshot the roots first: the rewrite appends nodes.  Each rewrite
+  // also rebuilds the use index, so every tree is read off the live graph.
+  UseIndex uses(g);
   std::vector<int> roots;
   for (int id : g.topo_order()) {
     const Node& n = g.node(id);
     if (n.kind != OpKind::Add && n.kind != OpKind::Sub) continue;
-    auto users = g.users(id);
+    const auto users = uses.users(id);
     if (users.size() == 1) {
       OpKind uk = g.node(users[0]).kind;
       if (uk == OpKind::Add || uk == OpKind::Sub) continue;  // not maximal
@@ -58,7 +61,7 @@ ReassociateStats reassociate_sums(Cdfg& g, const OperatorLibrary& lib,
     if (g.node(root).dead) continue;
     std::vector<Term> terms;
     std::vector<int> internal;
-    collect(g, root, false, true, &terms, &internal);
+    collect(g, uses, root, false, true, &terms, &internal);
     if ((int)terms.size() < min_terms) continue;
     // Balanced reduction: pairwise rounds.
     std::vector<Term> level = terms;
@@ -71,8 +74,11 @@ ReassociateStats reassociate_sums(Cdfg& g, const OperatorLibrary& lib,
     }
     int result = level[0].value;
     if (level[0].negated) result = g.add_op(OpKind::Neg, {result});
-    g.replace_uses(root, result);
+    std::vector<int> forwarded((size_t)g.num_nodes(), -1);
+    forwarded[(size_t)root] = result;
+    g.forward(forwarded);
     for (int t : internal) g.mark_dead(t);
+    uses = UseIndex(g);
     ++stats.trees_rebalanced;
     stats.terms += (int)terms.size();
   }

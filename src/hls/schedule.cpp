@@ -56,7 +56,11 @@ Schedule schedule_alap(const Cdfg& g, const OperatorLibrary& lib,
 }
 
 std::vector<bool> critical_nodes(const Cdfg& g, const OperatorLibrary& lib) {
-  Schedule asap = schedule_asap(g, lib);
+  return critical_nodes(g, lib, schedule_asap(g, lib));
+}
+
+std::vector<bool> critical_nodes(const Cdfg& g, const OperatorLibrary& lib,
+                                 const Schedule& asap) {
   Schedule alap = schedule_alap(g, lib, asap.length);
   std::vector<bool> crit((size_t)g.num_nodes(), false);
   for (int id : g.live_nodes()) {
@@ -70,11 +74,12 @@ Schedule schedule_list(const Cdfg& g, const OperatorLibrary& lib,
   // Priority: longest latency path from node to any sink (computed on the
   // reversed graph).
   const auto order = g.topo_order();
+  const UseIndex uses(g);
   std::vector<int> path((size_t)g.num_nodes(), 0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     int id = *it;
     int best = 0;
-    for (int u : g.users(id)) best = std::max(best, path[(size_t)u]);
+    for (int u : uses.users(id)) best = std::max(best, path[(size_t)u]);
     path[(size_t)id] = best + latency_of(g, lib, id);
   }
 
@@ -143,7 +148,7 @@ Schedule schedule_list(const Cdfg& g, const OperatorLibrary& lib,
       ++scheduled;
       const int done = cycle + latency_of(g, lib, id);
       s.length = std::max(s.length, done);
-      for (int u : g.users(id)) {
+      for (int u : uses.users(id)) {
         avail[(size_t)u] = std::max(avail[(size_t)u], done);
         if (--remaining_deps[(size_t)u] == 0) {
           // Ready when the LAST-finishing producer delivers, which is not

@@ -33,6 +33,9 @@ Schedule schedule_alap(const Cdfg& g, const OperatorLibrary& lib,
 
 /// Zero-slack (critical) node mask from ASAP/ALAP.
 std::vector<bool> critical_nodes(const Cdfg& g, const OperatorLibrary& lib);
+/// The same, reusing the graph's ASAP schedule.
+std::vector<bool> critical_nodes(const Cdfg& g, const OperatorLibrary& lib,
+                                 const Schedule& asap);
 
 /// Per-cycle issue limits per operator class (0 = unlimited).
 struct ResourceLimits {

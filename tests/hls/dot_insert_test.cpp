@@ -123,6 +123,26 @@ TEST(DotInsert, MultiUseTreeNodeBlocksFusion) {
   EXPECT_EQ(out.at("o1"), 27.0);
 }
 
+TEST(DotInsert, ProductReadByAFusedLeafIsNotFusedTwice) {
+  // t = p*q; y = t*r + t + a*b: t is a leaf of the sum and also feeds the
+  // product leaf t*r, so it has two uses and rides along as 1*t.  Counting
+  // uses again after t*r was fused made t look single-use: it was fused
+  // and killed while the (t, r) pair still read it.
+  Cdfg g;
+  int p = g.add_input("p"), q = g.add_input("q"), r = g.add_input("r");
+  int a = g.add_input("a"), b = g.add_input("b");
+  int t = g.add_op(OpKind::Mul, {p, q});
+  int sum = g.add_op(OpKind::Add, {g.add_op(OpKind::Mul, {t, r}), t});
+  const int ab = g.add_op(OpKind::Mul, {a, b});
+  g.add_output("y", g.add_op(OpKind::Add, {sum, ab}));
+  DotInsertStats st = insert_dot_products(g, lib());
+  EXPECT_NO_THROW(g.validate());
+  EXPECT_EQ(st.dots_inserted, 1);
+  const std::map<std::string, double> in{
+      {"p", 2.0}, {"q", 3.0}, {"r", 5.0}, {"a", 7.0}, {"b", 11.0}};
+  EXPECT_EQ(Evaluator(g).run(in).at("y"), 113.0);
+}
+
 TEST(DotInsert, SignFoldingThroughSubtractions) {
   // y = a*b - c*d - (e*f) with mixed signs.
   Cdfg g;

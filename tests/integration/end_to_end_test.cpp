@@ -118,6 +118,43 @@ TEST(Pipeline, EnergyWorkloadsAreSeedStable) {
   EXPECT_NE(a.toggles_per_op, c.toggles_per_op);  // the seed matters
 }
 
+TEST(Pipeline, Fig15MatchesTheRecordedSchedules) {
+  // Fig 15 as fig15_hls prints it: list scheduler, 39 FMA units, Virtex-6.
+  // Cycles for discrete / PCS / FCS, then FMAs inserted and conversions
+  // elided for PCS and FCS.
+  struct Row {
+    int discrete, pcs, fcs;
+    int pcs_fma, pcs_elided, fcs_fma, fcs_elided;
+  };
+  const Row want[] = {{205, 163, 103, 96, 118, 104, 130},
+                      {413, 323, 199, 192, 246, 200, 258},
+                      {621, 483, 295, 288, 374, 296, 386}};
+  OperatorLibrary lib = OperatorLibrary::for_device(virtex6());
+  ResourceLimits limits;
+  limits.fma = 39;
+  const auto solvers = paper_solvers();
+  ASSERT_EQ(solvers.size(), 3u);
+  for (std::size_t i = 0; i < solvers.size(); ++i) {
+    SCOPED_TRACE(solvers[i].name);
+    const KernelInfo k = parse_kernel(solvers[i].ldlsolve_src);
+    Cdfg pcs = k.graph, fcs = k.graph;
+    const FmaInsertStats sp = insert_fma_units(pcs, lib, FmaStyle::Pcs);
+    const FmaInsertStats sf = insert_fma_units(fcs, lib, FmaStyle::Fcs);
+    const Row got{schedule_list(k.graph, lib, limits).length,
+                  schedule_list(pcs, lib, limits).length,
+                  schedule_list(fcs, lib, limits).length,
+                  sp.fma_inserted, sp.conversions_elided,
+                  sf.fma_inserted, sf.conversions_elided};
+    EXPECT_EQ(got.discrete, want[i].discrete);
+    EXPECT_EQ(got.pcs, want[i].pcs);
+    EXPECT_EQ(got.fcs, want[i].fcs);
+    EXPECT_EQ(got.pcs_fma, want[i].pcs_fma);
+    EXPECT_EQ(got.pcs_elided, want[i].pcs_elided);
+    EXPECT_EQ(got.fcs_fma, want[i].fcs_fma);
+    EXPECT_EQ(got.fcs_elided, want[i].fcs_elided);
+  }
+}
+
 TEST(Pipeline, Virtex5FlowFallsBackToPcs) {
   // On a pre-pre-adder device the flow still works with the PCS unit.
   OperatorLibrary lib = OperatorLibrary::for_device(virtex5());
