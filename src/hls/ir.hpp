@@ -59,12 +59,19 @@ class Cdfg {
   int add_output(const std::string& name, int value);
   int add_op(OpKind kind, std::vector<int> args, FmaStyle style = FmaStyle::None);
 
-  const Node& node(int id) const;
+  const Node& node(int id) const {
+    CSFMA_CHECK(id >= 0 && id < (int)nodes_.size());
+    return nodes_[(size_t)id];
+  }
   int num_nodes() const { return (int)nodes_.size(); }
 
   /// Live (non-dead) node ids in creation order.
   std::vector<int> live_nodes() const;
-  /// Live node ids in a topological order (inputs/consts first).
+  /// Live node ids in a topological order (inputs/consts first): the DFS
+  /// post-order over args from each live root in id order.  A graph whose
+  /// args all precede their users (every parsed or rebuilt graph) comes
+  /// out in id order from one scan.  Throws on a live node that reads a
+  /// dead one, and on a cycle.
   std::vector<int> topo_order() const;
 
   /// Forward values: every arg `a` of a live node (Output args included)
@@ -91,6 +98,8 @@ class Cdfg {
   std::string to_dot(const std::string& graph_name = "cdfg") const;
 
  private:
+  friend Cdfg rebuild_topo(Cdfg g);
+
   std::vector<Node> nodes_;
 };
 
@@ -124,7 +133,8 @@ class UseIndex {
 
 /// Rebuild a graph containing only live nodes, renumbered in topological
 /// order (transform passes append nodes out of order; this restores the
-/// args-precede-node invariant validate() checks).
-Cdfg rebuild_topo(const Cdfg& g);
+/// args-precede-node invariant validate() checks).  The live nodes are
+/// moved, not copied: passes call it as `g = rebuild_topo(std::move(g))`.
+Cdfg rebuild_topo(Cdfg g);
 
 }  // namespace csfma

@@ -1,5 +1,6 @@
 #include "hls/reassociate.hpp"
 
+#include <utility>
 #include <vector>
 
 namespace csfma {
@@ -84,7 +85,7 @@ ReassociateStats reassociate_sums(Cdfg& g, const OperatorLibrary& lib,
   }
   if (stats.trees_rebalanced > 0) {
     g.prune_dead();
-    g = rebuild_topo(g);
+    g = rebuild_topo(std::move(g));
     g.validate();
   }
   return stats;

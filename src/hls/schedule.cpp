@@ -8,45 +8,53 @@
 
 namespace csfma {
 
-namespace {
-
-int latency_of(const Cdfg& g, const OperatorLibrary& lib, int id) {
-  const Node& n = g.node(id);
-  if (n.kind == OpKind::Dot) return lib.dot_attr(n.arity() / 2).latency;
-  return lib.attr(n.kind, n.style).latency;
+TopoTiming topo_timing(const Cdfg& g, const OperatorLibrary& lib) {
+  TopoTiming t;
+  t.order = g.topo_order();
+  t.latency.assign((size_t)g.num_nodes(), 0);
+  for (int id : t.order) {
+    const Node& n = g.node(id);
+    t.latency[(size_t)id] = n.kind == OpKind::Dot
+                                ? lib.dot_attr(n.arity() / 2).latency
+                                : lib.attr(n.kind, n.style).latency;
+  }
+  return t;
 }
 
-}  // namespace
-
 Schedule schedule_asap(const Cdfg& g, const OperatorLibrary& lib) {
+  return schedule_asap(g, topo_timing(g, lib));
+}
+
+Schedule schedule_asap(const Cdfg& g, const TopoTiming& t) {
   Schedule s;
   s.start.assign((size_t)g.num_nodes(), -1);
-  for (int id : g.topo_order()) {
-    const Node& n = g.node(id);
-    int t = 0;
-    for (int a : n.args) {
-      t = std::max(t, s.start[(size_t)a] + latency_of(g, lib, a));
-    }
-    s.start[(size_t)id] = t;
-    s.length = std::max(s.length, t + latency_of(g, lib, id));
+  for (int id : t.order) {
+    int start = 0;
+    for (int a : g.node(id).args)
+      start = std::max(start, s.start[(size_t)a] + t.latency[(size_t)a]);
+    s.start[(size_t)id] = start;
+    s.length = std::max(s.length, start + t.latency[(size_t)id]);
   }
   return s;
 }
 
 Schedule schedule_alap(const Cdfg& g, const OperatorLibrary& lib,
                        int target_length) {
+  return schedule_alap(g, topo_timing(g, lib), target_length);
+}
+
+Schedule schedule_alap(const Cdfg& g, const TopoTiming& t, int target_length) {
   Schedule s;
   s.start.assign((size_t)g.num_nodes(), -1);
   s.length = target_length;
-  auto order = g.topo_order();
   // Latest finish defaults to target_length; walk in reverse.
   std::vector<int> latest_finish((size_t)g.num_nodes(),
                                  std::numeric_limits<int>::max());
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+  for (auto it = t.order.rbegin(); it != t.order.rend(); ++it) {
     int id = *it;
     int lf = latest_finish[(size_t)id];
     if (lf == std::numeric_limits<int>::max()) lf = target_length;
-    int start = lf - latency_of(g, lib, id);
+    int start = lf - t.latency[(size_t)id];
     s.start[(size_t)id] = start;
     for (int a : g.node(id).args) {
       latest_finish[(size_t)a] = std::min(latest_finish[(size_t)a], start);
@@ -56,14 +64,15 @@ Schedule schedule_alap(const Cdfg& g, const OperatorLibrary& lib,
 }
 
 std::vector<bool> critical_nodes(const Cdfg& g, const OperatorLibrary& lib) {
-  return critical_nodes(g, lib, schedule_asap(g, lib));
+  const TopoTiming t = topo_timing(g, lib);
+  return critical_nodes(g, t, schedule_asap(g, t));
 }
 
-std::vector<bool> critical_nodes(const Cdfg& g, const OperatorLibrary& lib,
+std::vector<bool> critical_nodes(const Cdfg& g, const TopoTiming& t,
                                  const Schedule& asap) {
-  Schedule alap = schedule_alap(g, lib, asap.length);
+  const Schedule alap = schedule_alap(g, t, asap.length);
   std::vector<bool> crit((size_t)g.num_nodes(), false);
-  for (int id : g.live_nodes()) {
+  for (int id : t.order) {
     crit[(size_t)id] = asap.start[(size_t)id] == alap.start[(size_t)id];
   }
   return crit;
@@ -73,14 +82,14 @@ Schedule schedule_list(const Cdfg& g, const OperatorLibrary& lib,
                        const ResourceLimits& limits) {
   // Priority: longest latency path from node to any sink (computed on the
   // reversed graph).
-  const auto order = g.topo_order();
+  const TopoTiming t = topo_timing(g, lib);
   const UseIndex uses(g);
   std::vector<int> path((size_t)g.num_nodes(), 0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+  for (auto it = t.order.rbegin(); it != t.order.rend(); ++it) {
     int id = *it;
     int best = 0;
     for (int u : uses.users(id)) best = std::max(best, path[(size_t)u]);
-    path[(size_t)id] = best + latency_of(g, lib, id);
+    path[(size_t)id] = best + t.latency[(size_t)id];
   }
 
   auto limit_of = [&limits](OpKind k) {
@@ -118,7 +127,7 @@ Schedule schedule_list(const Cdfg& g, const OperatorLibrary& lib,
   std::priority_queue<int, std::vector<int>, decltype(cmp)> ready(cmp);
 
   int live_count = 0;
-  for (int id : order) {
+  for (int id : t.order) {
     remaining_deps[(size_t)id] = g.node(id).arity();
     ++live_count;
     if (remaining_deps[(size_t)id] == 0) ready.push(id);
@@ -146,7 +155,7 @@ Schedule schedule_list(const Cdfg& g, const OperatorLibrary& lib,
       ++issued_this_cycle[pool];
       s.start[(size_t)id] = cycle;
       ++scheduled;
-      const int done = cycle + latency_of(g, lib, id);
+      const int done = cycle + t.latency[(size_t)id];
       s.length = std::max(s.length, done);
       for (int u : uses.users(id)) {
         avail[(size_t)u] = std::max(avail[(size_t)u], done);
@@ -168,7 +177,11 @@ Schedule schedule_list(const Cdfg& g, const OperatorLibrary& lib,
       ready_at[(size_t)cycle + 1].push_back(id);
     }
     ++cycle;
-    CSFMA_CHECK_MSG(cycle < 10'000'000, "list scheduler runaway");
+    // Nothing ready, deferred or due in a later cycle, yet nodes remain:
+    // they wait on producers that never issue.
+    CSFMA_CHECK_MSG(scheduled == live_count || ready_at.size() > (size_t)cycle,
+                    "list scheduler runaway: " << live_count - scheduled
+                                               << " live nodes never become ready");
   }
   return s;
 }

@@ -24,17 +24,29 @@ struct Schedule {
   int length = 0;          // cycles until the last result is available
 };
 
+/// What every sweep below walks: one topological order and one latency
+/// per node.  A pass that asks several questions of one unchanged graph
+/// (FMA insertion: ASAP, ALAP, criticality, its candidate scan) computes
+/// it once and passes it to the overloads that take it.
+struct TopoTiming {
+  std::vector<int> order;    // g.topo_order()
+  std::vector<int> latency;  // cycles, by node id; 0 for dead nodes
+};
+TopoTiming topo_timing(const Cdfg& g, const OperatorLibrary& lib);
+
 /// Unlimited-resource as-soon-as-possible schedule.
 Schedule schedule_asap(const Cdfg& g, const OperatorLibrary& lib);
+Schedule schedule_asap(const Cdfg& g, const TopoTiming& t);
 
 /// As-late-as-possible schedule against the ASAP length.
 Schedule schedule_alap(const Cdfg& g, const OperatorLibrary& lib,
                        int target_length);
+Schedule schedule_alap(const Cdfg& g, const TopoTiming& t, int target_length);
 
 /// Zero-slack (critical) node mask from ASAP/ALAP.
 std::vector<bool> critical_nodes(const Cdfg& g, const OperatorLibrary& lib);
-/// The same, reusing the graph's ASAP schedule.
-std::vector<bool> critical_nodes(const Cdfg& g, const OperatorLibrary& lib,
+/// The same, reusing the graph's timing and ASAP schedule.
+std::vector<bool> critical_nodes(const Cdfg& g, const TopoTiming& t,
                                  const Schedule& asap);
 
 /// Per-cycle issue limits per operator class (0 = unlimited).

@@ -6,6 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "energy/workload.hpp"
 #include "fpga/architectures.hpp"
@@ -152,6 +159,79 @@ TEST(Pipeline, Fig15MatchesTheRecordedSchedules) {
     EXPECT_EQ(got.pcs_elided, want[i].pcs_elided);
     EXPECT_EQ(got.fcs_fma, want[i].fcs_fma);
     EXPECT_EQ(got.fcs_elided, want[i].fcs_elided);
+  }
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
+  const unsigned char* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= b[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Pipeline, HlsFlowGraphsMatchTheRecordedDigests) {
+  // Every graph perfbench's hls_flow compiles: the paper's ldlsolve and
+  // ldlfactor kernels and examples/kernels/*, as parsed and after FMA
+  // insertion with PCS and with FCS.  One FNV-1a digest per kernel chains
+  // each graph's to_string(), its FmaInsertStats and its schedule
+  // (ldlsolve list-scheduled at 39 FMA units, the rest ASAP).  Fig 15's pin
+  // checks only counts, but node ids break list-scheduler ties, so a pass
+  // that renumbers or reorders a graph moves these digests.
+  const std::map<std::string, std::uint64_t> want = {
+      {"complex_mac", 0xc4d866e8821a7b78ULL},
+      {"horner", 0x904663e1d2d2fe25ULL},
+      {"ldlfactor-large", 0x78bc27fe95537741ULL},
+      {"ldlfactor-medium", 0x4b7c5834157da725ULL},
+      {"ldlfactor-small", 0xb634c6d3ce89d1fbULL},
+      {"ldlsolve-large", 0xe4a2f197f812a2b1ULL},
+      {"ldlsolve-medium", 0x47d49c14c4d43725ULL},
+      {"ldlsolve-small", 0x4e49ba11eb8e951dULL},
+  };
+  struct Kernel {
+    std::string name, src;
+    bool list;
+  };
+  std::vector<Kernel> kernels;
+  for (const BenchmarkSolver& s : paper_solvers()) {
+    kernels.push_back({"ldlsolve-" + s.name, s.ldlsolve_src, true});
+    kernels.push_back({"ldlfactor-" + s.name, s.ldlfactor_src, false});
+  }
+  for (const auto& e : std::filesystem::directory_iterator(CSFMA_KERNEL_DIR)) {
+    if (e.path().extension() != ".kernel") continue;
+    std::ifstream in(e.path());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    kernels.push_back({e.path().stem().string(), ss.str(), false});
+  }
+  ASSERT_EQ(kernels.size(), want.size());
+  const OperatorLibrary lib = OperatorLibrary::for_device(virtex6());
+  ResourceLimits limits;
+  limits.fma = 39;
+  const auto mix = [](std::uint64_t& h, const auto& v) {
+    h = fnv1a(h, &v, sizeof v);
+  };
+  for (const Kernel& k : kernels) {
+    const KernelInfo info = parse_kernel(k.src);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (FmaStyle style : {FmaStyle::None, FmaStyle::Pcs, FmaStyle::Fcs}) {
+      Cdfg g = info.graph;
+      FmaInsertStats st;
+      if (style != FmaStyle::None) st = insert_fma_units(g, lib, style);
+      const std::string text = g.to_string();
+      h = fnv1a(h, text.data(), text.size());
+      mix(h, st.fma_inserted);
+      mix(h, st.conversions_elided);
+      mix(h, st.rounds);
+      const Schedule s = k.list ? schedule_list(g, lib, limits)
+                                : schedule_asap(g, lib);
+      h = fnv1a(h, s.start.data(), s.start.size() * sizeof(int));
+      mix(h, s.length);
+    }
+    const auto it = want.find(k.name);
+    EXPECT_TRUE(it != want.end() && it->second == h)
+        << k.name << " digest 0x" << std::hex << h;
   }
 }
 
