@@ -62,6 +62,13 @@ Usage:
       with exactly one request_end for the same (conn, req) carrying a
       known outcome, and connection lifecycle lines well-formed.
 
+  check_report.py --check-trace trace.json [more ...]
+      Validate a Chrome trace-event file (what the benches' --trace
+      writes, docs/observability.md): "displayTimeUnit" is "ms", the
+      "traceEvents" array is non-empty, and every event is a complete
+      ("X") or instant ("i") event with a "ts" and a "tid".  Prints
+      "trace OK (N events)" per file.
+
   check_report.py --check-fleettrace summary.json [more ...]
       Validate a csfma-fleetmerge-v1 fleet-trace summary (what
       scripts/trace_merge.py --summary writes from a csfma_explore
@@ -972,6 +979,25 @@ FLEETMERGE_SCHEMA = "csfma-fleetmerge-v1"
 TRACE_ID = re.compile(r"^explore-[0-9a-f]{16}$")
 
 
+def check_trace(path):
+    try:
+        with open(path) as f:
+            t = json.load(f)
+    except (OSError, ValueError) as e:
+        fail(path, f"cannot load trace: {e}")
+    if not isinstance(t, dict) or t.get("displayTimeUnit") != "ms":
+        fail(path, 'displayTimeUnit is not "ms"')
+    events = t.get("traceEvents")
+    if not isinstance(events, list) or not events:
+        fail(path, "trace has no events")
+    for i, e in enumerate(events):
+        if not isinstance(e, dict) or e.get("ph") not in ("X", "i"):
+            fail(path, f"traceEvents[{i}]: ph is not \"X\" or \"i\"")
+        if "ts" not in e or "tid" not in e:
+            fail(path, f"traceEvents[{i}]: no ts or tid")
+    print(f"trace OK ({len(events)} events)")
+
+
 def check_fleettrace(path):
     """Validate a csfma-fleetmerge-v1 summary (what trace_merge.py
     --summary writes, docs/FORMATS.md): zero orphan spans, exactly one
@@ -1127,6 +1153,12 @@ def main(argv):
             fail("usage", "--check-log needs at least one log path")
         for path in argv[1:]:
             check_log(path)
+        return
+    if len(argv) >= 1 and argv[0] == "--check-trace":
+        if len(argv) < 2:
+            fail("usage", "--check-trace needs at least one trace path")
+        for path in argv[1:]:
+            check_trace(path)
         return
     if len(argv) >= 1 and argv[0] == "--check-fleettrace":
         if len(argv) < 2:

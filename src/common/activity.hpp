@@ -9,6 +9,8 @@
 // coefficients.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -212,6 +214,43 @@ class ActivityRecorder {
 
  private:
   std::map<std::string, ActivityProbe> probes_;
+};
+
+/// A probe's name and pipeline-stage label, as a unit's instrumentation
+/// names it.
+struct ProbeName {
+  const char* name;
+  const char* stage;
+};
+
+/// A unit's probes, looked up by name once: slot i points at the
+/// recorder's probe names[i] from that probe's first observation on
+/// (std::map nodes never move), so later observations skip the string
+/// building and the map search.  A probe is created at its first
+/// observation, not before, so the recorder lists exactly the probes the
+/// unit observed.  A null recorder turns the unit's activity off.
+template <std::size_t N>
+class ProbeHandles {
+ public:
+  ProbeHandles(ActivityRecorder* rec, const ProbeName (&names)[N])
+      : rec_(rec), names_(names) {}
+
+  explicit operator bool() const { return rec_ != nullptr; }
+
+  ActivityProbe& operator[](std::size_t i) {
+    ActivityProbe* p = probes_[i];
+    return p != nullptr ? *p : resolve(i);
+  }
+
+ private:
+  ActivityProbe& resolve(std::size_t i) {
+    probes_[i] = &rec_->probe(names_[i].name, names_[i].stage);
+    return *probes_[i];
+  }
+
+  ActivityRecorder* rec_;
+  const ProbeName* names_;
+  std::array<ActivityProbe*, N> probes_{};
 };
 
 }  // namespace csfma

@@ -5,18 +5,23 @@
 
 namespace csfma {
 
-int leading_sign_run(const CsNum& x) {
-  const int w = x.width();
-  const CsWord v = x.to_binary();
-  const bool sign = v.bit(w - 1);
-  int run = 0;
-  for (int i = w - 2; i >= 0 && v.bit(i) == sign; --i) ++run;
-  // `run` bits below the MSB equal the sign, so the window can shrink by
-  // `run` bits; cap at w-1 (one digit always remains).
-  return run > w - 1 ? w - 1 : run;
+namespace {
+
+/// Leading sign run of a w-bit two's-complement word, by word: the
+/// sign-folded value's bit width, below the sign bit.  Returns w - 1 for 0
+/// and -1 (one digit always remains).
+int sign_run(const CsWord& v, int w) {
+  const CsWord folded = (v.bit(w - 1) ? ~v : v).truncated(w);
+  return w - 1 - folded.bit_width();
 }
 
-int lza_estimate(const CsNum& x) {
+/// lza_estimate, with the exact run it is anticipating (the run of the
+/// same assimilated sum).
+struct Anticipated {
+  int run, est;
+};
+
+Anticipated anticipate(const CsNum& x) {
   // Behavioural model of a Schmookler/Nowka-class leading-zero anticipator.
   //
   // A gate-level LZA examines (propagate, generate, kill) patterns without
@@ -30,33 +35,34 @@ int lza_estimate(const CsNum& x) {
   // trip this one).  The bound est <= run <= est + kLzaMaxError is what the
   // FCS-FMA's widened blocks absorb (Sec. III-G).
   const int w = x.width();
-  const CsWord a = x.sum(), b = x.carry();
+  const CsWord& a = x.sum();
+  const CsWord& b = x.carry();
   const CsWord s = (a + b).truncated(w);
-  // Carry-in vector of the assimilation: carry_i = s_i ^ a_i ^ b_i.
-  const CsWord carry_in = (s ^ a ^ b).truncated(w);
-
-  const bool sign = s.bit(w - 1);
-  int boundary = -1;  // highest position whose bit differs from the sign
-  for (int i = w - 2; i >= 0; --i) {
-    if (s.bit(i) != sign) {
-      boundary = i;
-      break;
-    }
-  }
-  const int run = boundary < 0 ? w - 1 : (w - 2) - boundary;
+  const int run = sign_run(s, w);
+  // The boundary is the highest position whose bit differs from the sign
+  // (the sign bit itself when there is none); the assimilation's carry
+  // into it is s ^ a ^ b there.
+  const int boundary = run == w - 1 ? w - 1 : (w - 2) - run;
   const bool carry_hits_boundary =
-      boundary < 0 ? carry_in.bit(w - 1) : carry_in.bit(boundary);
+      s.bit(boundary) != (a.bit(boundary) != b.bit(boundary));
   const int est = run - (carry_hits_boundary ? 1 : 0);
-  return est < 0 ? 0 : est;
+  return {run, est < 0 ? 0 : est};
 }
 
+}  // namespace
+
+int leading_sign_run(const CsNum& x) {
+  return sign_run(x.to_binary(), x.width());
+}
+
+int lza_estimate(const CsNum& x) { return anticipate(x).est; }
+
 int lza_estimate(const CsNum& x, EventLog* events) {
-  const int est = lza_estimate(x);
-  if (events != nullptr) {
-    const int exact = leading_sign_run(x);
-    if (exact != est) events->raise(EventKind::LzaMispredict, exact - est);
+  const Anticipated r = anticipate(x);
+  if (events != nullptr && r.run != r.est) {
+    events->raise(EventKind::LzaMispredict, r.run - r.est);
   }
-  return est;
+  return r.est;
 }
 
 }  // namespace csfma

@@ -67,9 +67,9 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
     CsNum product = multiply_dsp_tiled(
         mant_c, CsWord(WideUint<7>(WideUint<2>(b.sig()))), m.mult_width,
         m.cand_chunk, m.mult_chunk, m.width, m.offset, nullptr);
-    if (activity_ != nullptr) {
-      activity_->probe("mul.sum", "mul").observe(product.sum());
-      activity_->probe("mul.carry", "mul").observe(product.carry());
+    if (probes_) {
+      probes_[kMulSum].observe(product.sum());
+      probes_[kMulCarry].observe(product.carry());
     }
     if (tap != nullptr) {
       tap->begin_stage("mul");
@@ -81,9 +81,9 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
       const CsWord a_row = place_addend(a, d);
       if (b.sign() != c.sign()) product = cs_negate(product);
       CsNum adder = compress3(kWindow, product.sum(), product.carry(), a_row);
-      if (activity_ != nullptr) {
-        activity_->probe("add.sum", "add").observe(adder.sum());
-        activity_->probe("add.carry", "add").observe(adder.carry());
+      if (probes_) {
+        probes_[kAddSum].observe(adder.sum());
+        probes_[kAddCarry].observe(adder.carry());
       }
       if (tap != nullptr) {
         tap->begin_stage("add");
@@ -95,8 +95,8 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
       // steers the variable-distance normalization shifter.
       last_norm_shift_ = lza_estimate(adder, events);
       CsWord assimilated = adder.to_binary();
-      if (activity_ != nullptr) {
-        activity_->probe("norm", "norm").observe(assimilated);
+      if (probes_) {
+        probes_[kNorm].observe(assimilated);
       }
       if (tap != nullptr) {
         tap->begin_stage("norm");
@@ -152,25 +152,25 @@ void ClassicFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
   std::uint64_t rows[kMultiplier.tiles() * kMultiplier.row_planes()];
   std::uint64_t ps[kWindow], pc[kWindow], ar[kWindow];
   slice::tiled_multiply(kMultiplier, tiles, n, rows, ps, pc);
-  if (activity_ != nullptr) {
-    activity_->probe("mul.sum", "mul").observe_planes(ps, kWindow, n);
-    activity_->probe("mul.carry", "mul").observe_planes(pc, kWindow, n);
+  if (probes_) {
+    probes_[kMulSum].observe_planes(ps, kWindow, n);
+    probes_[kMulCarry].observe_planes(pc, kWindow, n);
   }
   slice::cs_negate(kWindow, neg_mask, ps, pc);
   slice::pack_words(a_rows, kWindowWords, n, kWindow, ar);
   std::uint64_t as[kWindow], ac[kWindow];
   slice::compress3(kWindow, ps, pc, ar, as, ac);
-  if (activity_ != nullptr) {
-    activity_->probe("add.sum", "add").observe_planes(as, kWindow, n);
-    activity_->probe("add.carry", "add").observe_planes(ac, kWindow, n);
+  if (probes_) {
+    probes_[kAddSum].observe_planes(as, kWindow, n);
+    probes_[kAddCarry].observe_planes(ac, kWindow, n);
   }
   // lza_estimate leaves the assimilated planes at the front of its scratch.
   std::uint16_t est[slice::kLanes], run[slice::kLanes];
   std::uint64_t lza_scratch[2 * kWindow];
   const std::uint64_t* assimilated = lza_scratch;
   slice::lza_estimate(kWindow, as, ac, n, est, lza_scratch);
-  if (activity_ != nullptr) {
-    activity_->probe("norm", "norm").observe_planes(assimilated, kWindow, n);
+  if (probes_) {
+    probes_[kNorm].observe_planes(assimilated, kWindow, n);
   }
   EventLog* events = hooks.events;
   if (events != nullptr) slice::leading_sign_run(kWindow, assimilated, n, run);

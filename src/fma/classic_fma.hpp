@@ -17,6 +17,8 @@
 // architectural contrast.
 #pragma once
 
+#include <iterator>
+
 #include "common/activity.hpp"
 #include "fma/fma_unit.hpp"
 #include "fp/pfloat.hpp"
@@ -30,7 +32,7 @@ class ClassicFma {
   /// both pointers must outlive the unit.  Null costs one pointer check.
   explicit ClassicFma(ActivityRecorder* activity = nullptr,
                       const IntrospectHooks* hooks = nullptr)
-      : activity_(activity), hooks_(hooks) {}
+      : probes_(activity, kProbeNames), hooks_(hooks) {}
 
   /// R = A + B * C, all IEEE binary64, round-to-nearest-even (the mode the
   /// 1990 design implements).
@@ -54,7 +56,16 @@ class ClassicFma {
   void fma_block(const OperandTriple* ops, int n, PFloat* out,
                  const FmaBatchHooks& hooks);
 
-  ActivityRecorder* activity_;
+  /// The activity probes, in kProbeNames order; the scalar and sliced
+  /// paths observe through the same handles.
+  enum Probe { kMulSum, kMulCarry, kAddSum, kAddCarry, kNorm };
+  static constexpr ProbeName kProbeNames[] = {{"mul.sum", "mul"},
+                                              {"mul.carry", "mul"},
+                                              {"add.sum", "add"},
+                                              {"add.carry", "add"},
+                                              {"norm", "norm"}};
+
+  ProbeHandles<std::size(kProbeNames)> probes_;
   const IntrospectHooks* hooks_;
   int last_norm_shift_ = 0;
 };

@@ -111,7 +111,7 @@ ResultClass result_class(bool zero, bool negative, int e_r, EventLog* events) {
 
 CsFma::CsFma(const CsGeometry& g, ActivityRecorder* activity,
              const IntrospectHooks* hooks)
-    : g_(g), activity_(activity), hooks_(hooks) {
+    : g_(g), probes_(activity, kProbeNames), hooks_(hooks) {
   g_.validate();
   CSFMA_CHECK(g_.dsp_tiles() <= kMaxDspTiles &&
               g_.dsp_tiles() * (g_.adder_width() - g_.product_offset()) <=
@@ -210,9 +210,9 @@ CsOperand CsFma::fma(const CsOperand& a, const PFloat& b, const CsOperand& c) {
                             (b_sig << g_.product_offset()).truncated(w));
   }
   if (b.sign()) product = cs_negate(product);
-  if (activity_ != nullptr) {
-    activity_->probe("mul.sum", "mul").observe(product.sum());
-    activity_->probe("mul.carry", "mul").observe(product.carry());
+  if (probes_) {
+    probes_[kMulSum].observe(product.sum());
+    probes_[kMulCarry].observe(product.carry());
   }
   if (tap != nullptr) {
     tap->begin_stage("mul");
@@ -224,7 +224,7 @@ CsOperand CsFma::fma(const CsOperand& a, const PFloat& b, const CsOperand& c) {
 
   CsWord a_row;
   place_a(a_val, ofs_a, g_, a_row.data());
-  if (activity_ != nullptr) activity_->probe("ashift", "align").observe(a_row);
+  if (probes_) probes_[kAShift].observe(a_row);
   if (tap != nullptr) {
     tap->begin_stage("align");
     tap->tap("align.ashift", a_row, w);
@@ -232,9 +232,9 @@ CsOperand CsFma::fma(const CsOperand& a, const PFloat& b, const CsOperand& c) {
 
   // ---- CS adder: product planes + aligned A row (3:2) ----
   const CsNum adder = compress3(w, product.sum(), product.carry(), a_row);
-  if (activity_ != nullptr) {
-    activity_->probe("add.sum", "add").observe(adder.sum());
-    activity_->probe("add.carry", "add").observe(adder.carry());
+  if (probes_) {
+    probes_[kAddSum].observe(adder.sum());
+    probes_[kAddCarry].observe(adder.carry());
   }
   if (tap != nullptr) {
     tap->begin_stage("add");
@@ -255,9 +255,9 @@ CsOperand CsFma::fma(const CsOperand& a, const PFloat& b, const CsOperand& c) {
   // ---- Carry Reduction to the group-g form (Sec. III-E) ----
   const PcsNum reduced = reduce(adder, g_.group());
   if (g_.group() > 1) {
-    if (activity_ != nullptr) {
-      activity_->probe("creduce.sum", "creduce").observe(reduced.sum());
-      activity_->probe("creduce.carry", "creduce").observe(reduced.carries());
+    if (probes_) {
+      probes_[kCreduceSum].observe(reduced.sum());
+      probes_[kCreduceCarry].observe(reduced.carries());
     }
     if (tap != nullptr) {
       tap->begin_stage("creduce");
@@ -284,9 +284,9 @@ CsOperand CsFma::fma(const CsOperand& a, const PFloat& b, const CsOperand& c) {
   PcsNum tail = mant_lo >= g_.block()
                     ? reduced.extract_digits(mant_lo - g_.block(), t_digits)
                     : PcsNum::zero(t_digits, g_.group());
-  if (activity_ != nullptr) {
-    activity_->probe("mux.sum", "mux").observe(mant.sum());
-    activity_->probe("mux.carry", "mux").observe(mant.carries());
+  if (probes_) {
+    probes_[kMuxSum].observe(mant.sum());
+    probes_[kMuxCarry].observe(mant.carries());
   }
   if (tap != nullptr) {
     tap->begin_stage("mux");
@@ -428,18 +428,18 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
   slice::tiled_multiply(tg, tiles, n, rows, ps, pc, &mul_stats_);
   slice::cs_negate(w, neg_mask, ps, pc);
   slice::pack_words(a_rows, kW, n, w, ar);
-  if (activity_ != nullptr) {
-    activity_->probe("mul.sum", "mul").observe_planes(ps, w, n);
-    activity_->probe("mul.carry", "mul").observe_planes(pc, w, n);
-    activity_->probe("ashift", "align").observe_planes(ar, w, n);
+  if (probes_) {
+    probes_[kMulSum].observe_planes(ps, w, n);
+    probes_[kMulCarry].observe_planes(pc, w, n);
+    probes_[kAShift].observe_planes(ar, w, n);
   }
 
   // ---- CS adder, all lanes per word op ----
   std::uint64_t as[kMaxW], ac[kMaxW];
   slice::compress3(w, ps, pc, ar, as, ac);
-  if (activity_ != nullptr) {
-    activity_->probe("add.sum", "add").observe_planes(as, w, n);
-    activity_->probe("add.carry", "add").observe_planes(ac, w, n);
+  if (probes_) {
+    probes_[kAddSum].observe_planes(as, w, n);
+    probes_[kAddCarry].observe_planes(ac, w, n);
   }
 
   // Event inputs: one assimilation serves both the cancellation detector
@@ -475,9 +475,9 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
     slice::carry_reduce(w, g_.group(), as, ac, rs_buf, rc_buf);
     rs = rs_buf;
     rc = rc_buf;
-    if (activity_ != nullptr) {
-      activity_->probe("creduce.sum", "creduce").observe_planes(rs, w, n);
-      activity_->probe("creduce.carry", "creduce").observe_planes(rc, w, n);
+    if (probes_) {
+      probes_[kCreduceSum].observe_planes(rs, w, n);
+      probes_[kCreduceCarry].observe_planes(rc, w, n);
     }
   }
 
@@ -524,9 +524,9 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
     ts[b] = sv;
     tc[b] = cv;
   }
-  if (activity_ != nullptr) {
-    activity_->probe("mux.sum", "mux").observe_planes(ms, m, n);
-    activity_->probe("mux.carry", "mux").observe_planes(mc, m, n);
+  if (probes_) {
+    probes_[kMuxSum].observe_planes(ms, m, n);
+    probes_[kMuxCarry].observe_planes(mc, m, n);
   }
 
   // ---- readout in plane form: assimilate the mantissa mod 2^M and the

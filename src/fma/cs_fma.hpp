@@ -27,6 +27,8 @@
 // DSP pre-adder / group-adder structures (see csa_tree.hpp and DESIGN.md).
 #pragma once
 
+#include <iterator>
+
 #include "common/activity.hpp"
 #include "cs/csa_tree.hpp"
 #include "fma/cs_format.hpp"
@@ -78,8 +80,21 @@ class CsFma {
   /// The mux output as an operand: zero test, exponent range checks.
   CsOperand result(PcsNum mant, PcsNum tail, int e_r, EventLog* events) const;
 
+  /// The activity probes, in kProbeNames order; the scalar and sliced
+  /// paths observe through the same handles.
+  enum Probe {
+    kMulSum, kMulCarry, kAShift, kAddSum, kAddCarry,
+    kCreduceSum, kCreduceCarry, kMuxSum, kMuxCarry
+  };
+  static constexpr ProbeName kProbeNames[] = {
+      {"mul.sum", "mul"},         {"mul.carry", "mul"},
+      {"ashift", "align"},        {"add.sum", "add"},
+      {"add.carry", "add"},       {"creduce.sum", "creduce"},
+      {"creduce.carry", "creduce"},
+      {"mux.sum", "mux"},         {"mux.carry", "mux"}};
+
   CsGeometry g_;
-  ActivityRecorder* activity_;
+  ProbeHandles<std::size(kProbeNames)> probes_;
   const IntrospectHooks* hooks_;
   CsaTreeStats mul_stats_{};
   int last_skip_ = 0;

@@ -4,25 +4,24 @@
 
 namespace csfma {
 
-void DiscreteMulAdd::probe(const char* name, const char* stage,
-                           const PFloat& v) {
-  if (activity_ != nullptr) activity_->probe(name, stage).observe(v.to_bits());
+void DiscreteMulAdd::probe(Probe p, const PFloat& v) {
+  if (probes_) probes_[p].observe(v.to_bits());
   if (hooks_ != nullptr && hooks_->tap != nullptr) {
     SignalTap* tap = hooks_->tap;
-    tap->begin_stage(stage);
-    tap->tap(name, v.to_bits(), 64);
+    tap->begin_stage(kProbeNames[p].stage);
+    tap->tap(kProbeNames[p].name, v.to_bits(), 64);
   }
 }
 
 PFloat DiscreteMulAdd::mul(const PFloat& a, const PFloat& b) {
   PFloat r = PFloat::mul(a, b, kBinary64, Round::NearestEven);
-  probe("mul.out", "mul", r);
+  probe(kMulOut, r);
   return r;
 }
 
 PFloat DiscreteMulAdd::add(const PFloat& a, const PFloat& b) {
   PFloat r = PFloat::add(a, b, kBinary64, Round::NearestEven);
-  probe("add.out", "add", r);
+  probe(kAddOut, r);
   return r;
 }
 

@@ -7,6 +7,8 @@
 // activity (every intermediate is re-normalized, so the planes are narrow).
 #pragma once
 
+#include <iterator>
+
 #include "common/activity.hpp"
 #include "fp/pfloat.hpp"
 #include "introspect/hooks.hpp"
@@ -20,7 +22,7 @@ class DiscreteMulAdd {
   /// `hooks` (optional) attaches signal taps; null costs a pointer check.
   explicit DiscreteMulAdd(ActivityRecorder* activity = nullptr,
                           const IntrospectHooks* hooks = nullptr)
-      : activity_(activity), hooks_(hooks) {}
+      : probes_(activity, kProbeNames), hooks_(hooks) {}
 
   PFloat mul(const PFloat& a, const PFloat& b);
   PFloat add(const PFloat& a, const PFloat& b);
@@ -29,8 +31,13 @@ class DiscreteMulAdd {
   PFloat mul_add(const PFloat& a, const PFloat& b, const PFloat& c);
 
  private:
-  void probe(const char* name, const char* stage, const PFloat& v);
-  ActivityRecorder* activity_;
+  /// The activity probes, in kProbeNames order.
+  enum Probe { kMulOut, kAddOut };
+  static constexpr ProbeName kProbeNames[] = {{"mul.out", "mul"},
+                                              {"add.out", "add"}};
+
+  void probe(Probe p, const PFloat& v);
+  ProbeHandles<std::size(kProbeNames)> probes_;
   const IntrospectHooks* hooks_;
 };
 

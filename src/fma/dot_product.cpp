@@ -134,9 +134,9 @@ CsOperand PcsDotProduct::dot(
     }
   }
   CsNum acc = reduce_rows_inplace(width, rows, n_prods, &tree_stats_);
-  if (activity_ != nullptr) {
-    activity_->probe("dot.sum").observe(acc.sum());
-    activity_->probe("dot.carry").observe(acc.carry());
+  if (probes_) {
+    probes_[kDotSum].observe(acc.sum());
+    probes_[kDotCarry].observe(acc.carry());
   }
 
   // ---- Carry Reduce + ZD + 6:1 mux, exactly the PCS-FMA back end ----

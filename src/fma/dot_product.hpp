@@ -14,6 +14,7 @@
 // de Dinechin/Pasca [12], which the paper builds on).
 #pragma once
 
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -26,7 +27,7 @@ namespace csfma {
 class PcsDotProduct {
  public:
   explicit PcsDotProduct(ActivityRecorder* activity = nullptr)
-      : activity_(activity) {}
+      : probes_(activity, kProbeNames) {}
 
   /// Fused sum of products; terms are IEEE binary64 pairs.  The result is
   /// in the PCS geometry (kPcsGeometry).
@@ -40,7 +41,12 @@ class PcsDotProduct {
   const CsaTreeStats& last_tree_stats() const { return tree_stats_; }
 
  private:
-  ActivityRecorder* activity_;
+  /// The activity probes (no stage label), in kProbeNames order.
+  enum Probe { kDotSum, kDotCarry };
+  static constexpr ProbeName kProbeNames[] = {{"dot.sum", ""},
+                                              {"dot.carry", ""}};
+
+  ProbeHandles<std::size(kProbeNames)> probes_;
   CsaTreeStats tree_stats_{};
 };
 

@@ -191,11 +191,11 @@ U128 PFloat::to_bits() const {
     case FpClass::Zero:
       break;  // biased exp 0, fraction 0
     case FpClass::Inf:
-      bits = bits.deposit(fb, eb, U128::mask(eb));
+      bits = U128::mask(eb) << fb;
       break;
     case FpClass::NaN:
-      bits = bits.deposit(fb, eb, U128::mask(eb));
-      bits = bits.deposit(fb - 1, 1, U128::one());  // quiet-NaN style payload
+      bits = U128::mask(eb) << fb;
+      bits.set_bit(fb - 1, true);  // quiet-NaN style payload
       break;
     case FpClass::Normal: {
       U128 frac = sig_ & U128::mask(fb);
@@ -204,7 +204,7 @@ U128 PFloat::to_bits() const {
       break;
     }
   }
-  if (sign_ && cls_ != FpClass::NaN) bits = bits.deposit(eb + fb, 1, U128::one());
+  if (sign_ && cls_ != FpClass::NaN) bits.set_bit(eb + fb, true);
   return bits;
 }
 

@@ -6,10 +6,84 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
+#include "introspect/event_log.hpp"
 
 namespace csfma {
 namespace {
+
+// ---- the bit-at-a-time scans the word-level runs replaced, kept
+//      verbatim as their reference ----
+
+int bit_scan_leading_sign_run(const CsNum& x) {
+  const int w = x.width();
+  const CsWord v = x.to_binary();
+  const bool sign = v.bit(w - 1);
+  int run = 0;
+  for (int i = w - 2; i >= 0 && v.bit(i) == sign; --i) ++run;
+  // `run` bits below the MSB equal the sign, so the window can shrink by
+  // `run` bits; cap at w-1 (one digit always remains).
+  return run > w - 1 ? w - 1 : run;
+}
+
+int bit_scan_lza_estimate(const CsNum& x) {
+  const int w = x.width();
+  const CsWord a = x.sum(), b = x.carry();
+  const CsWord s = (a + b).truncated(w);
+  // Carry-in vector of the assimilation: carry_i = s_i ^ a_i ^ b_i.
+  const CsWord carry_in = (s ^ a ^ b).truncated(w);
+
+  const bool sign = s.bit(w - 1);
+  int boundary = -1;  // highest position whose bit differs from the sign
+  for (int i = w - 2; i >= 0; --i) {
+    if (s.bit(i) != sign) {
+      boundary = i;
+      break;
+    }
+  }
+  const int run = boundary < 0 ? w - 1 : (w - 2) - boundary;
+  const bool carry_hits_boundary =
+      boundary < 0 ? carry_in.bit(w - 1) : carry_in.bit(boundary);
+  const int est = run - (carry_hits_boundary ? 1 : 0);
+  return est < 0 ? 0 : est;
+}
+
+TEST(Lza, WordLevelRunsMatchABitScan) {
+  Rng rng(63);
+  for (int w = 1; w <= kCsWordBits; ++w) {
+    const CsWord ones = CsWord::mask(w);
+    std::vector<CsNum> xs = {CsNum(w, CsWord(), CsWord()),
+                             CsNum(w, ones, CsWord()),
+                             CsNum(w, CsWord(), ones)};
+    // A single one or a single zero at every position, in either plane.
+    for (int p = 0; p < w; ++p) {
+      const CsWord one = CsWord::bit_at(p), zero = ones ^ one;
+      xs.emplace_back(w, one, CsWord());
+      xs.emplace_back(w, zero, CsWord());
+      xs.emplace_back(w, CsWord(), one);
+      xs.emplace_back(w, CsWord(), zero);
+    }
+    for (int r = 0; r < 16; ++r) {
+      xs.emplace_back(w, rng.next_wide_bits<7>(w), rng.next_wide_bits<7>(w));
+    }
+    for (const CsNum& x : xs) {
+      const int run = bit_scan_leading_sign_run(x);
+      const int est = bit_scan_lza_estimate(x);
+      ASSERT_EQ(leading_sign_run(x), run) << w << " " << x.to_digit_string();
+      ASSERT_EQ(lza_estimate(x), est) << w << " " << x.to_digit_string();
+      // The instrumented form raises a mispredict exactly where the scans
+      // disagree, with their difference as detail.
+      EventLog log(4);
+      ASSERT_EQ(lza_estimate(x, &log), est);
+      ASSERT_EQ(log.raised(), run != est ? 1u : 0u);
+      if (run != est) {
+        ASSERT_EQ(log.events().front().detail, run - est);
+      }
+    }
+  }
+}
 
 TEST(Lza, LeadingSignRunDefinition) {
   // 8-bit examples.

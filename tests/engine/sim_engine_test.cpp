@@ -12,6 +12,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -319,6 +320,89 @@ TEST(SimEngine, ChainedIsThreadCountInvariant) {
     EXPECT_EQ(toggle_map(r1.activity), toggle_map(r4.activity))
         << to_string(kind);
     EXPECT_GT(r1.activity.total_toggles(), 0u) << to_string(kind);
+  }
+}
+
+/// FNV-1a over a chained run's result bits, recorder JSON and event-log
+/// JSON.
+std::uint64_t chained_digest(const std::vector<PFloat>& results,
+                             const ActivityRecorder& rec,
+                             const EventLog& events) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const unsigned char* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const PFloat& r : results) {
+    const std::uint64_t bits = r.to_bits().lo64();
+    mix(&bits, sizeof bits);
+  }
+  const std::string act = rec.to_json(), ev = events.to_json();
+  mix(act.data(), act.size());
+  mix(ev.data(), ev.size());
+  return h;
+}
+
+// The Table II workload (seed 1001, 20 chains of depth 50) with CS
+// operands native between ops, so tails, deferred rounding and redundant
+// planes reach every stage: results, per-probe toggles and event logs of
+// every unit and both nearest readouts, pinned to digests recorded before
+// the scalar carry-save datapath was reworked.  The two readouts give the
+// same bits on this workload, so each unit's modes share one digest.
+TEST(SimEngine, ChainedRunsMatchRecordedDigests) {
+  const RecurrenceChainSource src(recurrence_inputs(1001, 20),
+                                  kRecurrenceDepth);
+  const struct {
+    UnitKind kind;
+    Round rm;
+    std::uint64_t digest;
+  } rows[] = {
+      {UnitKind::Discrete, Round::HalfAwayFromZero, 0x15d5d6a589f86e04ULL},
+      {UnitKind::Discrete, Round::NearestEven, 0x15d5d6a589f86e04ULL},
+      {UnitKind::Classic, Round::HalfAwayFromZero, 0xbb7e1bcb1a4af0faULL},
+      {UnitKind::Classic, Round::NearestEven, 0xbb7e1bcb1a4af0faULL},
+      {UnitKind::Pcs, Round::HalfAwayFromZero, 0x2ac46625e52f22c3ULL},
+      {UnitKind::Pcs, Round::NearestEven, 0x2ac46625e52f22c3ULL},
+      {UnitKind::Fcs, Round::HalfAwayFromZero, 0x6abfa62c5831510bULL},
+      {UnitKind::Fcs, Round::NearestEven, 0x6abfa62c5831510bULL},
+  };
+  for (const auto& row : rows) {
+    EngineConfig cfg;
+    cfg.unit = row.kind;
+    cfg.threads = 1;
+    cfg.rm = row.rm;
+    cfg.event_capacity = 1 << 16;
+    const BatchResult r = SimEngine(cfg).run_chained(src);
+    EXPECT_EQ(chained_digest(r.results, r.activity, r.events), row.digest)
+        << to_string(row.kind) << " " << to_string(row.rm);
+  }
+  // FCS-ZD has no UnitKind: step its chains on one unit directly.
+  const std::uint64_t opc = src.ops_per_chain();
+  for (const auto& [rm, digest] :
+       {std::pair{Round::HalfAwayFromZero, 0x216d3cdd1fd74f03ULL},
+        std::pair{Round::NearestEven, 0x216d3cdd1fd74f03ULL}}) {
+    ActivityRecorder rec;
+    EventLog events(1 << 16);
+    IntrospectHooks hooks;
+    hooks.events = &events;
+    auto unit = make_cs_unit(CsGeometry::fcs(BlockSelect::Zd), &rec, &hooks);
+    std::vector<ChainedOp> ops((std::size_t)opc);
+    std::vector<FmaOperand> natives((std::size_t)opc);
+    std::vector<PFloat> results((std::size_t)(src.chains() * opc));
+    FmaBatchHooks bh;
+    bh.rm = rm;
+    bh.events = &events;
+    for (std::uint64_t ch = 0; ch < src.chains(); ++ch) {
+      src.fill_chain(ch, ops.data());
+      bh.base_index = ch * opc;
+      step_chain(*unit, ops.data(), 0, opc, natives.data(),
+                 results.data() + bh.base_index, bh);
+    }
+    EXPECT_EQ(chained_digest(results, rec, events), digest)
+        << "fcs-zd " << to_string(rm);
   }
 }
 
