@@ -62,11 +62,13 @@ Usage:
       with exactly one request_end for the same (conn, req) carrying a
       known outcome, and connection lifecycle lines well-formed.
 
-  check_report.py --check-trace trace.json [more ...]
+  check_report.py --check-trace trace.json [more ...] [--spans NAME ...]
       Validate a Chrome trace-event file (what the benches' --trace
       writes, docs/observability.md): "displayTimeUnit" is "ms", the
       "traceEvents" array is non-empty, and every event is a complete
-      ("X") or instant ("i") event with a "ts" and a "tid".  Prints
+      ("X") or instant ("i") event with a "ts" and a "tid".  With
+      --spans, every file must also hold an event of each NAME (the
+      daemon's --trace-out spans, for instance).  Prints
       "trace OK (N events)" per file.
 
   check_report.py --check-fleettrace summary.json [more ...]
@@ -979,7 +981,7 @@ FLEETMERGE_SCHEMA = "csfma-fleetmerge-v1"
 TRACE_ID = re.compile(r"^explore-[0-9a-f]{16}$")
 
 
-def check_trace(path):
+def check_trace(path, spans=()):
     try:
         with open(path) as f:
             t = json.load(f)
@@ -995,6 +997,11 @@ def check_trace(path):
             fail(path, f"traceEvents[{i}]: ph is not \"X\" or \"i\"")
         if "ts" not in e or "tid" not in e:
             fail(path, f"traceEvents[{i}]: no ts or tid")
+    names = {e.get("name") for e in events}
+    missing = [s for s in spans if s not in names]
+    if missing:
+        fail(path, f"missing span(s) {', '.join(missing)}; the trace has "
+                   f"{sorted(n for n in names if isinstance(n, str))}")
     print(f"trace OK ({len(events)} events)")
 
 
@@ -1155,10 +1162,16 @@ def main(argv):
             check_log(path)
         return
     if len(argv) >= 1 and argv[0] == "--check-trace":
-        if len(argv) < 2:
+        paths, spans = argv[1:], []
+        if "--spans" in paths:
+            at = paths.index("--spans")
+            paths, spans = paths[:at], paths[at + 1:]
+            if not spans:
+                fail("usage", "--spans needs at least one span name")
+        if not paths:
             fail("usage", "--check-trace needs at least one trace path")
-        for path in argv[1:]:
-            check_trace(path)
+        for path in paths:
+            check_trace(path, spans)
         return
     if len(argv) >= 1 and argv[0] == "--check-fleettrace":
         if len(argv) < 2:

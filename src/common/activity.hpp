@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -52,46 +53,38 @@ class ActivityProbe {
     ++observations_;
   }
 
-  /// Bulk observation of `n` successive values in bit-plane (SoA) form:
-  /// planes[b] bit L holds bit b of the (L+1)-th value of the batch
-  /// (engine/slice.hpp layout).  Exactly equivalent to n successive
-  /// observe() calls of width `width_bits`, in one pass over the planes:
-  /// each plane yields its lane-0 bit (the seam against the stored
-  /// baseline, compared zero-extended as observe() does), its lane-to-lane
-  /// toggles (the plane XOR its one-lane shift) and its lane n-1 bit (the
-  /// new baseline).
-  void observe_planes(const std::uint64_t* planes, int width_bits, int n) {
-    if (n <= 0) return;
-    const std::size_t words = ((std::size_t)width_bits + 63) / 64;
-    // Lanes [1, n) toggle against their predecessor; lane 0's toggle is
-    // the seam.
-    const std::uint64_t lane_mask =
-        (n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1) &
-        ~std::uint64_t{1};
-    const unsigned last = (unsigned)(n - 1);
-    std::uint64_t t = 0;
-    // A wider baseline's extra words meet zeros; a narrower one reads as
-    // zero-extended.
-    if (has_prev_)
-      for (std::size_t wi = words; wi < prev_.size(); ++wi)
-        t += (std::uint64_t)popcount64(prev_[wi]);
-    prev_.resize(words);
-    for (std::size_t wi = 0; wi < words; ++wi) {
-      const std::uint64_t* p = planes + wi * 64;
-      const int nb = width_bits - (int)wi * 64 < 64 ? width_bits - (int)wi * 64
-                                                    : 64;
-      std::uint64_t first = 0, newest = 0;
-      for (int b = 0; b < nb; ++b) {
-        first |= (p[b] & 1u) << b;
-        newest |= ((p[b] >> last) & 1u) << b;
-        t += (std::uint64_t)popcount64((p[b] ^ (p[b] << 1)) & lane_mask);
-      }
-      if (has_prev_) t += (std::uint64_t)popcount64(prev_[wi] ^ first);
-      prev_[wi] = newest;
+  /// Bulk observation in bit-plane (SoA) form: planes[b] bit L holds bit b
+  /// of lane L's value (engine/slice.hpp layout), and the set bits of
+  /// `lanes` name the lanes that drive this bus.  Exactly equivalent to
+  /// observe() calls of width `width_bits` for the set lanes, in lane
+  /// order, in one pass over the planes: each plane yields the first set
+  /// lane's bit (the seam against the stored baseline, compared
+  /// zero-extended as observe() does), the toggles between successive set
+  /// lanes, and the last set lane's bit (the new baseline).  Unset lanes
+  /// may hold anything; an empty mask observes nothing.
+  void observe_planes(const std::uint64_t* planes, int width_bits,
+                      std::uint64_t lanes) {
+    if (lanes == 0) return;
+    const int first = std::countr_zero(lanes);
+    const int last = 63 - std::countl_zero(lanes);
+    const std::uint64_t run = lanes >> first;
+    if ((run & (run + 1)) == 0) {
+      // No gap: each set lane past the first follows its neighbour.
+      count_planes(planes, width_bits, lanes, first, last,
+                   [](std::uint64_t p) { return p; });
+    } else {
+      // Gaps: fill each unset lane with the last set lane below it (the
+      // carry of ~lanes + c runs up each unset run that a set 1 starts),
+      // so that a set lane's neighbour holds its predecessor's bit.
+      const std::uint64_t idle = ~lanes;
+      count_planes(planes, width_bits, lanes, first, last,
+                   [lanes, idle](std::uint64_t p) {
+                     const std::uint64_t a = p & lanes;
+                     const std::uint64_t c = (a << 1) & idle;
+                     return a | (((idle + c) ^ idle) & idle);
+                   });
     }
-    toggles_ += t;
-    has_prev_ = true;
-    observations_ += (std::uint64_t)n;
+    observations_ += (std::uint64_t)popcount64(lanes);
   }
 
   std::uint64_t toggles() const { return toggles_; }
@@ -121,6 +114,41 @@ class ActivityProbe {
   }
 
  private:
+  /// observe_planes' pass: `fill` maps a plane to one whose lanes between
+  /// `first` and `last` each hold the bit of the last set lane at or below
+  /// them, so a set lane's toggle is its bit XOR its neighbour's.
+  template <class Fill>
+  void count_planes(const std::uint64_t* planes, int width_bits,
+                    std::uint64_t lanes, int first, int last, Fill fill) {
+    const std::size_t words = ((std::size_t)width_bits + 63) / 64;
+    // Every set lane but the first toggles against its predecessor; the
+    // first one's toggle is the seam.
+    const std::uint64_t pairs = lanes & (lanes - 1);
+    std::uint64_t t = 0;
+    // A wider baseline's extra words meet zeros; a narrower one reads as
+    // zero-extended.
+    if (has_prev_)
+      for (std::size_t wi = words; wi < prev_.size(); ++wi)
+        t += (std::uint64_t)popcount64(prev_[wi]);
+    prev_.resize(words);
+    for (std::size_t wi = 0; wi < words; ++wi) {
+      const std::uint64_t* p = planes + wi * 64;
+      const int nb = width_bits - (int)wi * 64 < 64 ? width_bits - (int)wi * 64
+                                                    : 64;
+      std::uint64_t seam = 0, newest = 0;
+      for (int b = 0; b < nb; ++b) {
+        seam |= ((p[b] >> first) & 1u) << b;
+        newest |= ((p[b] >> last) & 1u) << b;
+        const std::uint64_t f = fill(p[b]);
+        t += (std::uint64_t)popcount64((f ^ (f << 1)) & pairs);
+      }
+      if (has_prev_) t += (std::uint64_t)popcount64(prev_[wi] ^ seam);
+      prev_[wi] = newest;
+    }
+    toggles_ += t;
+    has_prev_ = true;
+  }
+
   std::vector<std::uint64_t> prev_;
   bool has_prev_ = false;
   std::uint64_t toggles_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -106,15 +107,6 @@ int csa_levels_for_rows(int n) {
   return levels;
 }
 
-CsNum reduce_rows(int width, const std::vector<CsWord>& rows,
-                  CsaTreeStats* stats) {
-  CSFMA_CHECK(width >= 1 && width <= kCsWordBits);
-  std::vector<CsWord> cur;
-  cur.reserve(rows.size());
-  for (const auto& r : rows) cur.push_back(r.truncated(width));
-  return reduce_rows_inplace(width, cur.data(), (int)cur.size(), stats);
-}
-
 CsNum reduce_rows_inplace(int width, CsWord* rows, int n,
                           CsaTreeStats* stats) {
   CSFMA_CHECK(width >= 1 && width <= kCsWordBits);
@@ -129,41 +121,6 @@ CsNum reduce_rows_inplace(int width, CsWord* rows, int n,
   std::fill(spans, spans + n, Span{0, (width + 63) / 64, 0});
   return reduce_spans(
       width, [rows](int r) { return rows[r].data(); }, spans, n, stats);
-}
-
-CsNum multiply_cs_by_binary(const CsNum& multiplicand, const CsWord& multiplier,
-                            int multiplier_width, int out_width,
-                            CsaTreeStats* stats) {
-  CSFMA_CHECK(multiplier_width >= 1);
-  CSFMA_CHECK(out_width >= multiplicand.width());
-  CSFMA_CHECK(out_width <= kCsWordBits);
-  CSFMA_CHECK((multiplier & ~CsWord::mask(multiplier_width)).is_zero());
-
-  // The multiplicand's planes are assimilated to the signed value first.
-  // In the FCS-FMA hardware this is what the DSP48E1 *pre-adders* do,
-  // chunk-wise and carry-free thanks to the format's no-wrap guard bits
-  // (Sec. III-H: "converting them to plain binary format, without the risk
-  // of a sign-changing overflow"); per-plane sign extension would be
-  // unsound for a redundant two's-complement operand.  The value-level
-  // result is identical; fpga/ charges the pre-adder structures separately.
-  const CsWord m = multiplicand.signed_value().truncated(out_width);
-
-  // One row per multiplier bit position.  Rows for zero bits are kept so
-  // the tree structure (depth, compressor count) is data-independent, as it
-  // is in the netlist.
-  if (multiplier_width <= 64) {
-    CsWord pp[64];
-    for (int i = 0; i < multiplier_width; ++i) {
-      if (multiplier.bit(i)) pp[i] = (m << i).truncated(out_width);
-    }
-    return reduce_rows_inplace(out_width, pp, multiplier_width, stats);
-  }
-  std::vector<CsWord> pp;
-  pp.reserve((size_t)multiplier_width);
-  for (int i = 0; i < multiplier_width; ++i) {
-    pp.push_back(multiplier.bit(i) ? (m << i).truncated(out_width) : CsWord());
-  }
-  return reduce_rows(out_width, pp, stats);
 }
 
 CsNum multiply_dsp_tiled(const CsNum& multiplicand, const CsWord& multiplier,

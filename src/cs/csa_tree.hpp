@@ -3,14 +3,11 @@
 // The paper's FMA datapaths multiply the IEEE-format B_M (53b incl. leading 1)
 // with the carry-save-format C_M (110b PCS / 87c FCS) by reducing the partial
 // product rows with a Wallace-style tree of 3:2 compressors (Sec. III-C/D).
-// Because the *number of rows* equals the width of the smaller operand B_M,
-// widening C does not deepen the tree — the core observation behind the
-// paper's "only widen the critical operand" design.  reduce_rows() implements
-// the tree, reporting its height and compressor count for the fpga/ timing
-// and area models, and the exact planes for the energy model.
+// multiply_dsp_tiled() builds those rows as the DSP48E tiles the units map
+// to, and reduce_rows_inplace() implements the tree, reporting its height
+// and compressor count for the fpga/ timing and area models, and the exact
+// planes for the energy model.
 #pragma once
-
-#include <vector>
 
 #include "cs/cs_num.hpp"
 
@@ -22,34 +19,16 @@ struct CsaTreeStats {
   int compressors = 0;  // total full-adder (3:2) columns, summed over levels
 };
 
-/// Reduce an arbitrary set of W-bit rows to a single CS pair using layers of
-/// 3:2 compressors (Wallace reduction).  Zero or one rows are handled
-/// degenerately.  All arithmetic is mod 2^width (two's complement window).
-CsNum reduce_rows(int width, const std::vector<CsWord>& rows,
-                  CsaTreeStats* stats = nullptr);
-
-/// Allocation-free form of reduce_rows for the hot paths: reduces the `n`
-/// rows IN PLACE (the array is clobbered) and returns the same CS pair the
-/// vector overload produces.  Rows must already be truncated to `width`.
+/// Reduce `n` W-bit rows to a single CS pair using layers of 3:2
+/// compressors (Wallace reduction), IN PLACE (the array is clobbered), with
+/// no allocation for up to 64 rows.  Zero or one rows are handled
+/// degenerately.  All arithmetic is mod 2^width (two's complement window);
+/// rows must already be truncated to `width`.
 CsNum reduce_rows_inplace(int width, CsWord* rows, int n,
                           CsaTreeStats* stats = nullptr);
 
 /// Number of 3:2 levels a Wallace tree needs for n inputs (0 for n <= 2).
 int csa_levels_for_rows(int n);
-
-/// Signed × unsigned partial-product multiplier:
-///   multiplicand — a CS number (two planes, two's complement) of width wc;
-///   multiplier   — a plain binary unsigned word of width wb (the IEEE
-///                  significand of B, always positive);
-/// result — CS product of width `out_width` (callers pass wc + wb).
-///
-/// The multiplicand is assimilated first (the DSP pre-adder step of
-/// Sec. III-H); one partial-product row is generated per multiplier bit, so
-/// the tree depth depends only on the multiplier width — exactly the
-/// paper's "only widen the critical operand" trade-off (Sec. III-D).
-CsNum multiply_cs_by_binary(const CsNum& multiplicand, const CsWord& multiplier,
-                            int multiplier_width, int out_width,
-                            CsaTreeStats* stats = nullptr);
 
 /// DSP-tiled multiplier, the form the paper's units actually map to the
 /// Xilinx DSP48E blocks (Sec. IV):  the signed multiplicand is decomposed

@@ -18,11 +18,15 @@
 // src/cs applied lane-by-lane — the equivalence the engine's
 // backend=scalar|sliced knob and the CI backend-equivalence gate enforce.
 // Toggle accounting moves to ActivityProbe::observe_planes(), which is
-// popcount-exact with per-lane observe() calls (see common/activity.hpp).
+// popcount-exact with per-lane observe() calls of the lanes under its
+// lane mask (see common/activity.hpp).
 //
 // Layout conventions:
 //   * lanes are bits 0..63 of each plane word; a batch of n < 64 lanes
 //     leaves lanes n..63 zero (callers mask per-lane outputs by n);
+//   * a kernel runs every lane of its block: a lane a datapath stage does
+//     not reach rides along on zero inputs, and callers leave it out of
+//     that stage's outputs with a lane mask (a uint64_t, bit L = lane L);
 //   * plane arrays are indexed by bit position [0, width); callers own the
 //     storage (stack arrays or arenas), kernels never allocate;
 //   * lane-major inputs are little-endian word arrays with a fixed stride

@@ -1,11 +1,11 @@
 #include "fma/classic_fma.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "cs/csa_tree.hpp"
 #include "cs/lza.hpp"
 #include "engine/slice.hpp"
-#include "fma/sliced_batch.hpp"
 #include "introspect/event_log.hpp"
 #include "introspect/signal_tap.hpp"
 
@@ -39,13 +39,18 @@ CsWord place_addend(const PFloat& a, int d) {
   return CsWord(placed).truncated(kWindow);
 }
 
-/// May this operation go through the sliced block?  Only operations that
-/// run the whole activity datapath: three normal operands (the others
-/// observe no probe) and an addend the pre-shift reaches (the others
-/// observe only the multiplier's).
-bool sliceable(const OperandTriple& t) {
-  return t.a.is_normal() && t.b.is_normal() && t.c.is_normal() &&
-         std::abs(t.a.exp() - (t.b.exp() + t.c.exp())) <= kMaxAlign;
+/// How far an operation runs the activity datapath, as the scalar fma()
+/// and the sliced block both decide it: the multiplier needs three normal
+/// operands, and the adder, LZA and normalizer an addend the pre-shift
+/// reaches.  Every other operation observes no probe.
+struct Reach {
+  enum Kind { kNone, kMultiplier, kDatapath } kind = kNone;
+  int d = 0;  // e_A - e_P, the addend's pre-shift, past kNone
+};
+Reach reach(const PFloat& a, const PFloat& b, const PFloat& c) {
+  if (!a.is_normal() || !b.is_normal() || !c.is_normal()) return {};
+  const int d = a.exp() - (b.exp() + c.exp());
+  return {std::abs(d) <= kMaxAlign ? Reach::kDatapath : Reach::kMultiplier, d};
 }
 }  // namespace
 
@@ -55,9 +60,8 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
   // The architectural steps below drive the activity probes and the
   // normalization-distance bookkeeping; the returned value is the correctly
   // rounded fused result the architecture computes.
-  if (a.is_normal() && b.is_normal() && c.is_normal()) {
-    const int e_p = b.exp() + c.exp();
-    const int d = a.exp() - e_p;
+  const Reach r = reach(a, b, c);
+  if (r.kind != Reach::kNone) {
     // Multiplier: 53x53 in carry-save (the classic LUT/DSP CSA tree).
     // The multiplicand is unsigned — widen by one digit so the signed
     // window semantics keep it positive.
@@ -76,9 +80,9 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
       tap->tap("mul.sum", product.sum(), kWindow);
       tap->tap("mul.carry", product.carry(), kWindow);
     }
-    if (std::abs(d) <= kMaxAlign) {
+    if (r.kind == Reach::kDatapath) {
       // Addend pre-shift (runs in parallel with the multiply).
-      const CsWord a_row = place_addend(a, d);
+      const CsWord a_row = place_addend(a, r.d);
       if (b.sign() != c.sign()) product = cs_negate(product);
       CsNum adder = compress3(kWindow, product.sum(), product.carry(), a_row);
       if (probes_) {
@@ -118,75 +122,108 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
 
 void ClassicFma::fma_ieee_batch(const OperandTriple* ops, std::size_t n,
                                 PFloat* out, const FmaBatchHooks& hooks) {
-  split_sliceable_runs(
-      ops, n, out, hooks, hooks_ != nullptr && hooks_->tap != nullptr,
-      sliceable,
-      [&](const OperandTriple& t) {
-        return fma(t.a, t.b, t.c).round_to(kBinary64, hooks.rm);
-      },
-      [this](const OperandTriple* run, int len, PFloat* o,
-             const FmaBatchHooks& h) { fma_block(run, len, o, h); });
+  if (hooks_ != nullptr && hooks_->tap != nullptr) {
+    // A SignalTap traces one operation at a time.
+    for (std::size_t i = 0; i < n; ++i) {
+      hooks.begin_op(i, ops[i]);
+      out[i] = fma(ops[i].a, ops[i].b, ops[i].c).round_to(kBinary64, hooks.rm);
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < n; i += slice::kLanes) {
+    FmaBatchHooks block = hooks;
+    block.base_index += i;
+    fma_block(ops + i, (int)std::min<std::size_t>(n - i, slice::kLanes),
+              out + i, block);
+  }
 }
 
 void ClassicFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
                            const FmaBatchHooks& hooks) {
-  // ---- per lane: tile products, B*C's sign and the aligned addend row ----
+  // ---- per lane: how far it runs (reach()), then tile products, B*C's
+  //      sign and the aligned addend row for the stages it reaches.  A
+  //      stage a lane does not reach reads zero tiles and a zero row for
+  //      it, written only when the stage runs. ----
   std::int64_t tiles[kMultiplier.tiles() * slice::kLanes];
   std::uint64_t a_rows[slice::kLanes * kWindowWords];
   std::uint64_t neg_mask = 0;
+  std::uint64_t fired = 0;     // lanes that run the multiplier
+  std::uint64_t datapath = 0;  // lanes that run every stage
   for (int L = 0; L < n; ++L) {
     const PFloat& a = ops[L].a;
     const PFloat& b = ops[L].b;
     const PFloat& c = ops[L].c;
+    const std::uint64_t lane = std::uint64_t{1} << L;
+    const Reach r = reach(a, b, c);
+    if (r.kind == Reach::kNone) continue;
+    fired |= lane;
     const std::uint64_t c_sig = c.sig().lo64();
     slice::tile_products(kMultiplier, &c_sig, b.sig().lo64(), L, tiles);
-    if (b.sign() != c.sign()) neg_mask |= std::uint64_t{1} << L;
-    const CsWord a_row = place_addend(a, a.exp() - (b.exp() + c.exp()));
-    for (int x = 0; x < kWindowWords; ++x)
-      a_rows[L * kWindowWords + x] = a_row.data()[x];
+    if (r.kind != Reach::kDatapath) continue;
+    datapath |= lane;
+    if (b.sign() != c.sign()) neg_mask |= lane;
+    const CsWord row = place_addend(a, r.d);
+    std::copy(row.data(), row.data() + kWindowWords, a_rows + L * kWindowWords);
   }
 
   // ---- planes, all lanes per word op: the multiplier (observed before
   //      the sign is applied, as the scalar path observes it), the 3:2
-  //      adder with the addend, the LZA and the assimilated sum ----
-  std::uint64_t rows[kMultiplier.tiles() * kMultiplier.row_planes()];
-  std::uint64_t ps[kWindow], pc[kWindow], ar[kWindow];
-  slice::tiled_multiply(kMultiplier, tiles, n, rows, ps, pc);
-  if (probes_) {
-    probes_[kMulSum].observe_planes(ps, kWindow, n);
-    probes_[kMulCarry].observe_planes(pc, kWindow, n);
-  }
-  slice::cs_negate(kWindow, neg_mask, ps, pc);
-  slice::pack_words(a_rows, kWindowWords, n, kWindow, ar);
-  std::uint64_t as[kWindow], ac[kWindow];
-  slice::compress3(kWindow, ps, pc, ar, as, ac);
-  if (probes_) {
-    probes_[kAddSum].observe_planes(as, kWindow, n);
-    probes_[kAddCarry].observe_planes(ac, kWindow, n);
-  }
-  // lza_estimate leaves the assimilated planes at the front of its scratch.
-  std::uint16_t est[slice::kLanes], run[slice::kLanes];
-  std::uint64_t lza_scratch[2 * kWindow];
-  const std::uint64_t* assimilated = lza_scratch;
-  slice::lza_estimate(kWindow, as, ac, n, est, lza_scratch);
-  if (probes_) {
-    probes_[kNorm].observe_planes(assimilated, kWindow, n);
-  }
+  //      adder with the addend, the LZA and the assimilated sum; each stage
+  //      runs if any lane reaches it ----
+  std::uint16_t est[slice::kLanes] = {}, run[slice::kLanes] = {};
   EventLog* events = hooks.events;
-  if (events != nullptr) slice::leading_sign_run(kWindow, assimilated, n, run);
+  if (fired != 0) {
+    for (int L = 0; L < n; ++L)
+      if (((fired >> L) & 1u) == 0)
+        for (int t = 0; t < kMultiplier.tiles(); ++t)
+          tiles[t * slice::kLanes + L] = 0;
+    std::uint64_t rows[kMultiplier.tiles() * kMultiplier.row_planes()];
+    std::uint64_t ps[kWindow], pc[kWindow];
+    slice::tiled_multiply(kMultiplier, tiles, n, rows, ps, pc);
+    if (probes_) {
+      probes_[kMulSum].observe_planes(ps, kWindow, fired);
+      probes_[kMulCarry].observe_planes(pc, kWindow, fired);
+    }
+    if (datapath != 0) {
+      for (int L = 0; L < n; ++L)
+        if (((datapath >> L) & 1u) == 0)
+          std::fill(a_rows + L * kWindowWords, a_rows + (L + 1) * kWindowWords,
+                    std::uint64_t{0});
+      std::uint64_t ar[kWindow], as[kWindow], ac[kWindow];
+      slice::cs_negate(kWindow, neg_mask, ps, pc);
+      slice::pack_words(a_rows, kWindowWords, n, kWindow, ar);
+      slice::compress3(kWindow, ps, pc, ar, as, ac);
+      if (probes_) {
+        probes_[kAddSum].observe_planes(as, kWindow, datapath);
+        probes_[kAddCarry].observe_planes(ac, kWindow, datapath);
+      }
+      // lza_estimate leaves the assimilated planes at the front of its
+      // scratch.
+      std::uint64_t lza_scratch[2 * kWindow];
+      const std::uint64_t* assimilated = lza_scratch;
+      slice::lza_estimate(kWindow, as, ac, n, est, lza_scratch);
+      if (probes_) {
+        probes_[kNorm].observe_planes(assimilated, kWindow, datapath);
+      }
+      if (events != nullptr)
+        slice::leading_sign_run(kWindow, assimilated, n, run);
+    }
+  }
 
   // ---- per-lane readout in operation order ----
   for (int L = 0; L < n; ++L) {
     hooks.begin_op(L, ops[L]);
-    if (events != nullptr) {
-      if (run[L] != est[L]) {
-        events->raise(EventKind::LzaMispredict, run[L] - est[L]);
+    if (((datapath >> L) & 1u) != 0) {
+      if (events != nullptr) {
+        if (run[L] != est[L]) {
+          events->raise(EventKind::LzaMispredict, run[L] - est[L]);
+        }
+        if (run[L] >= kCancellationRun) {
+          events->raise(EventKind::Cancellation, run[L]);
+        }
       }
-      if (run[L] >= kCancellationRun) {
-        events->raise(EventKind::Cancellation, run[L]);
-      }
+      last_norm_shift_ = est[L];
     }
-    last_norm_shift_ = est[L];
     out[L] = PFloat::fma(ops[L].b, ops[L].c, ops[L].a, kBinary64,
                          Round::NearestEven)
                  .round_to(kBinary64, hooks.rm);

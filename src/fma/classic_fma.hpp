@@ -39,11 +39,14 @@ class ClassicFma {
   PFloat fma(const PFloat& a, const PFloat& b, const PFloat& c);
 
   /// Bit-sliced batch form of fma(a, b, c).round_to(binary64, hooks.rm)
-  /// (engine/slice.hpp): runs of operations with three normal operands and
-  /// an addend within the adder window's alignment range go through the
-  /// plane-form fma_block up to 64 lanes at a time; every other operation,
-  /// and every operation while a SignalTap is attached, takes the scalar
-  /// path.  Results, per-probe toggle counts and the event sequence are
+  /// (engine/slice.hpp): the batch runs through the plane-form fma_block in
+  /// consecutive blocks of up to 64 operations, every operation in its
+  /// lane.  A lane with three normal operands and an addend within the
+  /// adder window's alignment range drives every probe and event; one with
+  /// three normal operands beyond it drives the multiplier's probes only;
+  /// any other drives none.  Every lane's value is PFloat::fma.  Only a
+  /// unit with a SignalTap attached runs the scalar path per operation.
+  /// Results, per-probe toggle counts and the event sequence are
   /// bit-identical to the scalar loop.
   void fma_ieee_batch(const OperandTriple* ops, std::size_t n, PFloat* out,
                       const FmaBatchHooks& hooks);
@@ -52,7 +55,7 @@ class ClassicFma {
   int last_norm_shift() const { return last_norm_shift_; }
 
  private:
-  /// One sliced block: all `n` (<= 64) operations must be sliceable.
+  /// One sliced block of `n` <= 64 operations, lane L holding ops[L].
   void fma_block(const OperandTriple* ops, int n, PFloat* out,
                  const FmaBatchHooks& hooks);
 

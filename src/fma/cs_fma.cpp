@@ -6,7 +6,6 @@
 #include "cs/lza.hpp"
 #include "cs/zero_detect.hpp"
 #include "engine/slice.hpp"
-#include "fma/sliced_batch.hpp"
 #include "introspect/event_log.hpp"
 #include "introspect/signal_tap.hpp"
 
@@ -132,40 +131,13 @@ CsOperand CsFma::fma(const CsOperand& a, const PFloat& b, const CsOperand& c) {
   const int m = g_.mant_digits(), w = g_.adder_width();
 
   // ---- exception side-wires (Sec. III-B) ----
-  if (a.is_nan() || b.is_nan() || c.is_nan()) return CsOperand::make_nan(g_);
-  const bool b_zero = b.is_zero();
-  const bool c_zero = c.is_zero();
-  const bool p_inf = b.is_inf() || c.is_inf();
-  const bool p_sign = b.sign() != value_sign(c);
-  if (p_inf) {
-    if (b_zero || c_zero) return CsOperand::make_nan(g_);
-    if (a.is_inf() && a.exc_sign() != p_sign) return CsOperand::make_nan(g_);
-    return CsOperand::make_inf(g_, p_sign);
-  }
-  if (a.is_inf()) return CsOperand::make_inf(g_, a.exc_sign());
+  const SideWire wire = side_wires(a, b, c, events);
+  if (wire.kind != SideWire::kDatapath) return side_wire_result(wire, a);
 
   // ---- deferred rounding decisions (Sec. III-C) ----
   const bool a_normal = a.cls() == FpClass::Normal;
   const int rnd_a = a_normal ? a.round_increment() : 0;
   const int rnd_c = c.cls() == FpClass::Normal ? c.round_increment() : 0;
-  if (events != nullptr) {
-    // The documented misrounding of the deferred half-away-from-zero rule:
-    // detail 0 = the A operand's tail, 1 = C's (see fp/rounding.hpp).
-    if (a_normal && a.round_disagrees_ieee()) {
-      events->raise(EventKind::MisroundVsIeee, 0);
-    }
-    if (c.cls() == FpClass::Normal && c.round_disagrees_ieee()) {
-      events->raise(EventKind::MisroundVsIeee, 1);
-    }
-  }
-
-  if (b_zero || c_zero) {
-    // Product is zero: the result is (rounded) A.
-    if (a.is_zero()) {
-      return CsOperand::make_zero(g_, p_sign && value_sign(a));  // -0 iff both
-    }
-    return passthrough_rounded(a, rnd_a);
-  }
   CSFMA_CHECK_MSG(b.format().precision() <= 53,
                   "B must be IEEE binary64 or narrower");
 
@@ -303,6 +275,47 @@ CsOperand CsFma::fma(const CsOperand& a, const PFloat& b, const CsOperand& c) {
                 events);
 }
 
+CsFma::SideWire CsFma::side_wires(const CsOperand& a, const PFloat& b,
+                                  const CsOperand& c, EventLog* events) const {
+  if (a.is_nan() || b.is_nan() || c.is_nan()) return {SideWire::kNan};
+  const bool b_zero = b.is_zero();
+  const bool c_zero = c.is_zero();
+  const bool p_sign = b.sign() != value_sign(c);
+  if (b.is_inf() || c.is_inf()) {
+    if (b_zero || c_zero) return {SideWire::kNan};
+    if (a.is_inf() && a.exc_sign() != p_sign) return {SideWire::kNan};
+    return {SideWire::kInf, p_sign};
+  }
+  if (a.is_inf()) return {SideWire::kInf, a.exc_sign()};
+  if (events != nullptr) {
+    // The documented misrounding of the deferred half-away-from-zero rule:
+    // detail 0 = the A operand's tail, 1 = C's (see fp/rounding.hpp).
+    if (a.cls() == FpClass::Normal && a.round_disagrees_ieee()) {
+      events->raise(EventKind::MisroundVsIeee, 0);
+    }
+    if (c.cls() == FpClass::Normal && c.round_disagrees_ieee()) {
+      events->raise(EventKind::MisroundVsIeee, 1);
+    }
+  }
+  if (!b_zero && !c_zero) return {SideWire::kDatapath};
+  // Product is zero: the result is (rounded) A; -0 iff both are negative.
+  if (a.is_zero()) return {SideWire::kZero, p_sign && value_sign(a)};
+  return {SideWire::kRoundedA};
+}
+
+CsOperand CsFma::side_wire_result(SideWire wire, const CsOperand& a) const {
+  switch (wire.kind) {
+    case SideWire::kNan: return CsOperand::make_nan(g_);
+    case SideWire::kInf: return CsOperand::make_inf(g_, wire.sign);
+    case SideWire::kZero: return CsOperand::make_zero(g_, wire.sign);
+    case SideWire::kRoundedA:
+      return passthrough_rounded(a, a.round_increment());
+    case SideWire::kDatapath: break;
+  }
+  CSFMA_CHECK_MSG(false, "the datapath decides this operation");
+  return CsOperand();
+}
+
 CsOperand CsFma::result(PcsNum mant, PcsNum tail, int e_r,
                         EventLog* events) const {
   // The full carry-save unit only has digit-level detectors: anything that
@@ -327,39 +340,22 @@ PFloat CsFma::fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c,
                     rm);
 }
 
-namespace {
-
-/// May this operation go through the sliced block?  Excluded: exception
-/// operands (the scalar path returns on side-wires before the datapath),
-/// zero products (rounded-A result) and the A pass-through, whose early
-/// returns skip datapath probes in ways the block form cannot replicate.
-/// A freshly lifted operand's tail is empty and its planes carry-free, so
-/// rnd_a == rnd_c == 0, the deferred-rounding events never fire on
-/// sliceable lanes and the early LZA is exact on them.
-bool sliceable(const CsGeometry& g, const OperandTriple& t) {
-  if (t.a.is_nan() || t.b.is_nan() || t.c.is_nan()) return false;
-  if (t.a.is_inf() || t.b.is_inf() || t.c.is_inf()) return false;
-  if (t.b.is_zero() || t.c.is_zero()) return false;
-  if (t.a.cls() == FpClass::Normal) {
-    const int ofs_a =
-        lifted_exp(g, t.a) - (t.b.exp() + lifted_exp(g, t.c)) + g.align();
-    if (ofs_a > g.adder_width() - g.mant_digits()) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 void CsFma::fma_ieee_batch(const OperandTriple* ops, std::size_t n, PFloat* out,
                            const FmaBatchHooks& hooks) {
-  split_sliceable_runs(
-      ops, n, out, hooks, hooks_ != nullptr && hooks_->tap != nullptr,
-      [this](const OperandTriple& t) { return sliceable(g_, t); },
-      [&](const OperandTriple& t) {
-        return fma_ieee(t.a, t.b, t.c, hooks.rm);
-      },
-      [this](const OperandTriple* run, int len, PFloat* o,
-             const FmaBatchHooks& h) { fma_block(run, len, o, h); });
+  if (hooks_ != nullptr && hooks_->tap != nullptr) {
+    // A SignalTap traces one operation at a time.
+    for (std::size_t i = 0; i < n; ++i) {
+      hooks.begin_op(i, ops[i]);
+      out[i] = fma_ieee(ops[i].a, ops[i].b, ops[i].c, hooks.rm);
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < n; i += slice::kLanes) {
+    FmaBatchHooks block = hooks;
+    block.base_index += i;
+    fma_block(ops + i, (int)std::min<std::size_t>(n - i, slice::kLanes),
+              out + i, block);
+  }
 }
 
 void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
@@ -368,6 +364,7 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
   constexpr int kMaxW = kCsWordBits;
   constexpr int kMaxBlocks = kCsWordBits / 8;
   EventLog* events = hooks.events;
+  const bool full = g_.group() == 1;
   const bool lza = g_.select() == BlockSelect::Lza;
   const int m = g_.mant_digits(), t_digits = g_.tail_digits();
   const int w = g_.adder_width(), block = g_.block();
@@ -376,37 +373,59 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
   const slice::TileGeometry tg{m, g_.cand_chunk(), 53, g_.mult_chunk(), w,
                                ofs_p};
 
-  // ---- per-lane front end: lift + DSP tile products + A alignment (and
-  //      the input-side anticipation of an early-LZA unit).  Only the
-  //      per-lane-data work stays scalar; the partial-product tree, the
-  //      adder and everything after run bit-parallel across the batch. ----
+  // ---- per-lane front end: each lane's class, as the scalar fma() takes
+  //      it.  A side wire (a NaN or infinite operand, a zero product)
+  //      reaches no stage.  An A pass-through reaches the multiplier on a
+  //      PCS unit, whose mux takes A after it fired, and no stage on a full
+  //      carry-save unit, which sees A on its inputs.  A datapath lane
+  //      reaches every stage.  Then lift + DSP tile products + A alignment
+  //      (and the input-side anticipation of an early-LZA unit) for the
+  //      stages each lane reaches; a stage that runs reads zero tiles and a
+  //      zero A row for the lanes it does not reach.  A freshly lifted
+  //      operand's tail is empty and its planes carry-free, so A's and C's
+  //      deferred rounding is 0, their events never fire and the early LZA
+  //      is exact.  Only the per-lane-data work stays scalar; the
+  //      partial-product tree, the adder and everything after run
+  //      bit-parallel across the block. ----
   std::int64_t tiles[kMaxDspTiles * slice::kLanes];
   std::uint64_t a_rows[slice::kLanes * kW];
   std::uint64_t neg_mask = 0;
-  int e_p[slice::kLanes];
-  int a_msb[slice::kLanes];
-  int skip[slice::kLanes];
+  std::uint64_t datapath = 0;  // lanes that run every stage
+  std::uint64_t passed = 0;    // A pass-through lanes
+  int e_p[slice::kLanes] = {};
+  int a_msb[slice::kLanes] = {};
+  int skip[slice::kLanes] = {};
   for (int L = 0; L < n; ++L) {
+    const PFloat& a = ops[L].a;
     const PFloat& b = ops[L].b;
+    const std::uint64_t lane = std::uint64_t{1} << L;
+    if (!b.is_normal() || !ops[L].c.is_normal() || a.is_nan() || a.is_inf())
+      continue;
     CSFMA_CHECK_MSG(b.format().precision() <= 53,
                     "B must be IEEE binary64 or narrower");
     // C lifts to a binary (carry-free) mantissa with an empty tail, so the
     // rnd_c correction row never fires on this path; the DSP pre-adder
     // assimilation of multiply_dsp_tiled is the identity on it.
     const LiftedSig c = lift_significand(g_, ops[L].c);
-    if (b.sign()) neg_mask |= std::uint64_t{1} << L;
-    slice::tile_products(tg, c.mant.data(), b.sig().lo64(), L, tiles);
     e_p[L] = b.exp() + c.exp;
-    // A path: rnd_a == 0 likewise; a is Normal or Zero (sliceable()).
     I128 a_val = 0;
     int ofs_a = g_.align();
     int lza_a = 0;
-    if (ops[L].a.cls() == FpClass::Normal) {
-      const LiftedSig a = lift_significand(g_, ops[L].a);
-      a_val = signed_mant(a.mant, m);
-      ofs_a = a.exp - e_p[L] + g_.align();
-      lza_a = binary_sign_run(a.mant, m);
+    if (a.is_normal()) {
+      const LiftedSig al = lift_significand(g_, a);
+      a_val = signed_mant(al.mant, m);
+      ofs_a = al.exp - e_p[L] + g_.align();
+      lza_a = binary_sign_run(al.mant, m);
     }
+    // A entirely left of the adder window passes through.
+    if (a_val != 0 && ofs_a > w - m) {
+      passed |= lane;
+      if (full) continue;
+    }
+    if (b.sign()) neg_mask |= lane;
+    slice::tile_products(tg, c.mant.data(), b.sig().lo64(), L, tiles);
+    if ((passed & lane) != 0) continue;
+    datapath |= lane;
     place_a(a_val, ofs_a, g_, a_rows + L * kW);
     const bool a_in = a_val != 0 && ofs_a > -m;
     a_msb[L] = a_in ? ofs_a + m - 1 : -1;
@@ -422,24 +441,55 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
 
   // ---- the shared plane multiplier (the scalar tree's exact planes; its
   //      data-independent stats serve the whole block), then B's sign as
-  //      the lane-masked negation ----
-  std::uint64_t rows[kMaxTreePlanes];
-  std::uint64_t ps[kMaxW], pc[kMaxW], ar[kMaxW];
-  slice::tiled_multiply(tg, tiles, n, rows, ps, pc, &mul_stats_);
-  slice::cs_negate(w, neg_mask, ps, pc);
-  slice::pack_words(a_rows, kW, n, w, ar);
-  if (probes_) {
-    probes_[kMulSum].observe_planes(ps, w, n);
-    probes_[kMulCarry].observe_planes(pc, w, n);
-    probes_[kAShift].observe_planes(ar, w, n);
+  //      the lane-masked negation.  It runs if any lane fires it. ----
+  const std::uint64_t fired = full ? datapath : datapath | passed;
+  std::uint64_t ps[kMaxW], pc[kMaxW];
+  if (fired != 0) {
+    for (int L = 0; L < n; ++L)
+      if (((fired >> L) & 1u) == 0)
+        for (int r = 0; r < g_.dsp_tiles(); ++r)
+          tiles[r * slice::kLanes + L] = 0;
+    std::uint64_t rows[kMaxTreePlanes];
+    slice::tiled_multiply(tg, tiles, n, rows, ps, pc, &mul_stats_);
+    slice::cs_negate(w, neg_mask, ps, pc);
+    if (probes_) {
+      probes_[kMulSum].observe_planes(ps, w, fired);
+      probes_[kMulCarry].observe_planes(pc, w, fired);
+    }
   }
+
+  // A lane the datapath does not decide reads the result the scalar fma()
+  // returns early: A passed through, or what the side wires decide.
+  const auto early = [&](int L) {
+    const CsOperand a = ieee_to_cs(g_, ops[L].a);
+    if (((passed >> L) & 1u) != 0)
+      return cs_to_ieee(passthrough_rounded(a, 0), kBinary64, hooks.rm);
+    const SideWire wire =
+        side_wires(a, ops[L].b, ieee_to_cs(g_, ops[L].c), events);
+    return cs_to_ieee(side_wire_result(wire, a), kBinary64, hooks.rm);
+  };
+  if (datapath == 0) {
+    for (int L = 0; L < n; ++L) {
+      hooks.begin_op(L, ops[L]);
+      out[L] = early(L);
+    }
+    return;
+  }
+
+  // ---- everything below the multiplier, for the datapath lanes ----
+  for (int L = 0; L < n; ++L)
+    if (((datapath >> L) & 1u) == 0)
+      std::fill(a_rows + L * kW, a_rows + (L + 1) * kW, std::uint64_t{0});
+  std::uint64_t ar[kMaxW];
+  slice::pack_words(a_rows, kW, n, w, ar);
+  if (probes_) probes_[kAShift].observe_planes(ar, w, datapath);
 
   // ---- CS adder, all lanes per word op ----
   std::uint64_t as[kMaxW], ac[kMaxW];
   slice::compress3(w, ps, pc, ar, as, ac);
   if (probes_) {
-    probes_[kAddSum].observe_planes(as, w, n);
-    probes_[kAddCarry].observe_planes(ac, w, n);
+    probes_[kAddSum].observe_planes(as, w, datapath);
+    probes_[kAddCarry].observe_planes(ac, w, datapath);
   }
 
   // Event inputs: one assimilation serves both the cancellation detector
@@ -476,8 +526,8 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
     rs = rs_buf;
     rc = rc_buf;
     if (probes_) {
-      probes_[kCreduceSum].observe_planes(rs, w, n);
-      probes_[kCreduceCarry].observe_planes(rc, w, n);
+      probes_[kCreduceSum].observe_planes(rs, w, datapath);
+      probes_[kCreduceCarry].observe_planes(rc, w, datapath);
     }
   }
 
@@ -487,13 +537,16 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
     std::uint64_t alive[kMaxBlocks];
     slice::count_skippable_blocks(w, block, max_skip, rs, rc, alive);
     for (int L = 0; L < n; ++L) {
+      if (((datapath >> L) & 1u) == 0) continue;
       int k = 0;
       for (int s = 0; s < max_skip; ++s) k += (int)((alive[s] >> L) & 1u);
       skip[L] = k;
     }
   }
   std::uint64_t lane_of_k[kMaxBlocks + 1] = {};
-  for (int L = 0; L < n; ++L) lane_of_k[skip[L]] |= std::uint64_t{1} << L;
+  for (int L = 0; L < n; ++L)
+    if (((datapath >> L) & 1u) != 0)
+      lane_of_k[skip[L]] |= std::uint64_t{1} << L;
   int ks[kMaxBlocks + 1];
   int n_ks = 0;
   for (int k = 0; k <= max_skip; ++k)
@@ -525,8 +578,8 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
     tc[b] = cv;
   }
   if (probes_) {
-    probes_[kMuxSum].observe_planes(ms, m, n);
-    probes_[kMuxCarry].observe_planes(mc, m, n);
+    probes_[kMuxSum].observe_planes(ms, m, datapath);
+    probes_[kMuxCarry].observe_planes(mc, m, datapath);
   }
 
   // ---- readout in plane form: assimilate the mantissa mod 2^M and the
@@ -545,7 +598,7 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
   // result()'s zero test: every digit plane of a full carry-save unit, the
   // two binary images (mantissa mod 2^M, tail mod 2^T) of a PCS unit.
   std::uint64_t nonzero = 0;
-  if (g_.group() == 1) {
+  if (full) {
     for (int b = 0; b < m; ++b) nonzero |= ms[b] | mc[b];
     for (int b = 0; b < t_digits; ++b) nonzero |= ts[b] | tc[b];
   } else {
@@ -560,6 +613,10 @@ void CsFma::fma_block(const OperandTriple* ops, int n, PFloat* out,
   // ---- per lane, in operation order: events, the class rule, rounding ----
   for (int L = 0; L < n; ++L) {
     hooks.begin_op(L, ops[L]);
+    if (((datapath >> L) & 1u) == 0) {
+      out[L] = early(L);
+      continue;
+    }
     if (events != nullptr) {
       const int p_msb = ofs_p + m + 53;
       const int out_msb = w - 1 - (int)run[L];

@@ -57,13 +57,16 @@ class CsFma {
   /// final rounding — what a single replaced multiply/add pair computes.
   PFloat fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c, Round rm);
 
-  /// Bit-sliced batch form of fma_ieee (engine/slice.hpp): runs of
-  /// sliceable operations go through the plane-form fma_block up to 64
-  /// lanes at a time.  Operations with exception operands (NaN, infinity,
-  /// a zero product) or an A pass-through, and any run with a SignalTap
-  /// attached, fall back to the scalar path per operation.  Results,
-  /// per-probe toggle counts and the event sequence are bit-identical to
-  /// the scalar loop (the engine's backend-equivalence gate).
+  /// Bit-sliced batch form of fma_ieee (engine/slice.hpp): the batch runs
+  /// through the plane-form fma_block in consecutive blocks of up to 64
+  /// operations, every operation in its lane.  Each lane is a datapath
+  /// lane, an A pass-through or a side wire (an exception operand or a
+  /// zero product); each probe observes exactly the lanes whose scalar
+  /// path drives it, and a lane the datapath does not decide reads the
+  /// scalar path's early result.  Only a unit with a SignalTap attached
+  /// runs the scalar path per operation.  Results, per-probe toggle counts
+  /// and the event sequence are bit-identical to the scalar loop (the
+  /// engine's backend-equivalence gate).
   void fma_ieee_batch(const OperandTriple* ops, std::size_t n, PFloat* out,
                       const FmaBatchHooks& hooks);
 
@@ -74,9 +77,23 @@ class CsFma {
   int last_skip() const { return last_skip_; }
 
  private:
-  /// One sliced block: all `n` (<= 64) operations must be sliceable.
+  /// One sliced block of `n` <= 64 operations, lane L holding ops[L].
   void fma_block(const OperandTriple* ops, int n, PFloat* out,
                  const FmaBatchHooks& hooks);
+  /// What the exception side wires (Sec. III-B) decide about an operation
+  /// before any datapath stage sees it: nothing (kDatapath), or a NaN, a
+  /// signed infinity or zero, or A rounded (a zero product).
+  struct SideWire {
+    enum Kind { kDatapath, kNan, kInf, kZero, kRoundedA } kind = kDatapath;
+    bool sign = false;
+  };
+  /// Past the NaN and infinity wires it raises A's and C's
+  /// deferred-rounding events (Sec. III-C), where the unit takes those
+  /// decisions.
+  SideWire side_wires(const CsOperand& a, const PFloat& b, const CsOperand& c,
+                      EventLog* events) const;
+  /// The result a side wire decides, given the operation's A.
+  CsOperand side_wire_result(SideWire wire, const CsOperand& a) const;
   /// The mux output as an operand: zero test, exponent range checks.
   CsOperand result(PcsNum mant, PcsNum tail, int e_r, EventLog* events) const;
 

@@ -135,9 +135,10 @@ class FmaUnit {
   /// operation order.  The base implementation IS that loop, and the
   /// engine's backend=scalar knob calls it explicitly as the reference
   /// oracle.  The fused units (classic, PCS, FCS) override it with their
-  /// bit-sliced blocks (engine/slice.hpp) through split_sliceable_runs
-  /// (fma/sliced_batch.hpp); the discrete pair keeps the loop.  Overrides must keep results,
-  /// per-probe toggle counts and the event sequence bit-identical to it.
+  /// bit-sliced blocks (engine/slice.hpp), which take the batch 64
+  /// operations at a time, every operation in its lane; the discrete pair
+  /// keeps the loop.  Overrides must keep results, per-probe toggle counts
+  /// and the event sequence bit-identical to it.
   virtual void fma_ieee_batch(const OperandTriple* ops, std::size_t n,
                               PFloat* out, const FmaBatchHooks& hooks);
 };

@@ -144,6 +144,11 @@ PFloat PFloat::from_double(const FloatFormat& fmt, double d, Round rm) {
   }
   if (biased == 0) return zero(fmt, sign);  // zero and subnormals flush
   const std::uint64_t sig = frac | (1ULL << 52);
+  if (fmt.frac_bits >= 52 && fmt.emin() <= -1022 && fmt.emax() >= 1023) {
+    // The format holds every binary64 normal exactly: nothing to round.
+    return make_normal(fmt, sign, biased - 1023,
+                       U128(sig) << (fmt.frac_bits - 52));
+  }
   return normalize_round(fmt, sign, WideUint<8>(sig), biased - 1023 - 52, false,
                          rm);
 }

@@ -213,7 +213,7 @@ TEST(CsaTree, ReduceMatchesPlainSum) {
       expect = (expect + rows.back()).truncated(w);
     }
     CsaTreeStats stats;
-    CsNum r = reduce_rows(w, rows, &stats);
+    CsNum r = reduce_rows_inplace(w, rows.data(), n, &stats);
     EXPECT_EQ(r.to_binary(), expect);
     EXPECT_EQ(stats.rows, n);
     EXPECT_EQ(stats.levels, csa_levels_for_rows(n));
@@ -221,19 +221,29 @@ TEST(CsaTree, ReduceMatchesPlainSum) {
 }
 
 TEST(CsaTree, ReduceDegenerateCases) {
-  CsNum z = reduce_rows(16, {});
+  CsNum z = reduce_rows_inplace(16, nullptr, 0);
   EXPECT_TRUE(z.to_binary().is_zero());
-  CsNum one = reduce_rows(16, {CsWord(7ull)});
+  CsWord one_row[] = {CsWord(7ull)};
+  CsNum one = reduce_rows_inplace(16, one_row, 1);
   EXPECT_EQ(one.to_binary().lo64(), 7u);
   EXPECT_TRUE(one.is_binary());
 }
 
+/// multiply_dsp_tiled's product value: the multiplicand's signed value
+/// times the multiplier, at `offset` in the window, mod 2^out_width.
+CsWord tiled_product_value(const CsNum& c, const CsWord& b, int out_width,
+                           int offset) {
+  return ((c.signed_value().truncated(out_width) * b) << offset)
+      .truncated(out_width);
+}
+
 TEST(CsaTree, MultiplySmallExhaustive) {
-  // Exhaustive 6x5-bit signed x unsigned multiply against host arithmetic.
+  // Exhaustive 6x5-bit signed x unsigned multiply against host arithmetic,
+  // in 2- and 3-bit tiles.
   for (int m = -32; m < 32; ++m) {
     for (unsigned b = 0; b < 32; ++b) {
       CsNum c = CsNum::from_signed(7, m < 0, CsWord((std::uint64_t)(m < 0 ? -m : m)));
-      CsNum p = multiply_cs_by_binary(c, CsWord(b), 5, 12);
+      CsNum p = multiply_dsp_tiled(c, CsWord(b), 5, 3, 2, 12, 0);
       std::int64_t expect = (std::int64_t)m * (std::int64_t)b;
       std::uint64_t got = p.to_binary().lo64();
       std::uint64_t want = (std::uint64_t)expect & 0xFFF;
@@ -243,48 +253,45 @@ TEST(CsaTree, MultiplySmallExhaustive) {
 }
 
 TEST(CsaTree, MultiplyRedundantMultiplicand) {
+  // A two-plane multiplicand is assimilated (the DSP pre-adders) before
+  // it is sliced: the product is its signed value times B, for any tile
+  // shape and offset.
   Rng rng(31);
   for (int i = 0; i < 5000; ++i) {
     int wc = (int)rng.next_int(4, 40);
     int wb = (int)rng.next_int(1, 20);
+    int cc = (int)rng.next_int(2, 30), mc = (int)rng.next_int(2, 30);
+    int ofs = (int)rng.next_int(0, 20);
     CsNum c(wc, rng.next_wide_bits<7>(wc), rng.next_wide_bits<7>(wc));
     CsWord b = rng.next_wide_bits<7>(wb);
-    int wo = wc + wb;
-    CsNum p = multiply_cs_by_binary(c, b, wb, wo);
-    // Reference: signed value of c times b, mod 2^wo.
-    CsWord ref = (c.signed_value().truncated(wo) * b).truncated(wo);
-    EXPECT_EQ(p.to_binary(), ref) << c.to_digit_string();
+    int wo = ofs + wc + wb;
+    CsNum p = multiply_dsp_tiled(c, b, wb, cc, mc, wo, ofs);
+    EXPECT_EQ(p.to_binary(), tiled_product_value(c, b, wo, ofs))
+        << c.to_digit_string();
   }
 }
 
 TEST(CsaTree, MultiplyPaperWidths) {
-  // The PCS-FMA multiplier: 110b CS multiplicand x 53b binary multiplier
-  // into a 163b window (Sec. III-D).
+  // The three unit multipliers, each at its product offset in its adder
+  // window: PCS 110x53 in 17/24 tiles (the paper's 21 DSPs, Sec. III-D),
+  // FCS 87x53 in 23/17 tiles (16) and classic 54x53 in 17/24 tiles (12).
+  const struct {
+    int wc, cc, mc, wo, ofs, tiles;
+  } units[] = {{110, 17, 24, 385, 110, 21},
+               {87, 23, 17, 377, 87, 16},
+               {54, 17, 24, 161, 0, 12}};
   Rng rng(32);
-  for (int i = 0; i < 500; ++i) {
-    CsNum c(110, rng.next_wide_bits<7>(110), rng.next_wide_bits<7>(110));
-    CsWord b = rng.next_wide_bits<7>(53) | CsWord::bit_at(52);  // implied 1
-    CsaTreeStats stats;
-    CsNum p = multiply_cs_by_binary(c, b, 53, 163, &stats);
-    CsWord ref = (c.signed_value().truncated(163) * b).truncated(163);
-    EXPECT_EQ(p.to_binary(), ref);
-    // Tree height depends only on the 53 multiplier rows.
-    EXPECT_EQ(stats.rows, 53);
-    EXPECT_EQ(stats.levels, csa_levels_for_rows(53));
+  for (const auto& u : units) {
+    for (int i = 0; i < 500; ++i) {
+      CsNum c(u.wc, rng.next_wide_bits<7>(u.wc), rng.next_wide_bits<7>(u.wc));
+      CsWord b = rng.next_wide_bits<7>(53) | CsWord::bit_at(52);  // implied 1
+      CsaTreeStats stats;
+      CsNum p = multiply_dsp_tiled(c, b, 53, u.cc, u.mc, u.wo, u.ofs, &stats);
+      EXPECT_EQ(p.to_binary(), tiled_product_value(c, b, u.wo, u.ofs));
+      EXPECT_EQ(stats.rows, u.tiles);
+      EXPECT_EQ(stats.levels, csa_levels_for_rows(u.tiles));
+    }
   }
-}
-
-TEST(CsaTree, TreeDepthIndependentOfMultiplicandWidth) {
-  // Sec. III-D: widening C must not deepen the tree.
-  CsaTreeStats narrow, wide;
-  Rng rng(33);
-  CsNum c54(54, rng.next_wide_bits<7>(54), CsWord());
-  CsNum c110(110, rng.next_wide_bits<7>(110), CsWord());
-  CsWord b = rng.next_wide_bits<7>(53) | CsWord::bit_at(52);
-  multiply_cs_by_binary(c54, b, 53, 107, &narrow);
-  multiply_cs_by_binary(c110, b, 53, 163, &wide);
-  EXPECT_EQ(narrow.levels, wide.levels);
-  EXPECT_EQ(narrow.rows, wide.rows);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -356,6 +357,11 @@ TEST(Slice, TiledProductMatchesScalarPerLane) {
   }
 }
 
+/// The lane mask of lanes [0, n).
+std::uint64_t first_lanes(int n) {
+  return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
+
 // Toggle accounting: one observe_planes() call must count exactly what n
 // sequential per-lane observe() calls count — across batches (the seam
 // between batch k's last lane and batch k+1's first), for odd-remainder
@@ -372,7 +378,7 @@ TEST(Slice, ObservePlanesMatchesSequentialObserve) {
         scalar_probe.observe(cs_of_lane(lanes, stride, L));
       std::vector<std::uint64_t> planes((std::size_t)width);
       slice::pack_words(lanes.data(), stride, n, width, planes.data());
-      sliced_probe.observe_planes(planes.data(), width, n);
+      sliced_probe.observe_planes(planes.data(), width, first_lanes(n));
       ASSERT_EQ(sliced_probe.toggles(), scalar_probe.toggles())
           << "width " << width << " after batch of " << n;
       ASSERT_EQ(sliced_probe.observations(), scalar_probe.observations());
@@ -390,11 +396,69 @@ TEST(Slice, ObservePlanesMatchesSequentialObserve) {
       scalar_probe.observe(cs_of_lane(lanes, stride, L));
     std::vector<std::uint64_t> planes((std::size_t)width);
     slice::pack_words(lanes.data(), stride, n, width, planes.data());
-    sliced_probe.observe_planes(planes.data(), width, n);
+    sliced_probe.observe_planes(planes.data(), width, first_lanes(n));
     ASSERT_EQ(sliced_probe.toggles(), scalar_probe.toggles())
         << "width " << width << " after batch of " << n;
     ASSERT_EQ(sliced_probe.observations(), scalar_probe.observations());
   }
+}
+
+// Under a lane mask, one observe_planes() call must count exactly what
+// observe() calls of the set lanes count, in lane order: the seam against
+// the first set lane, toggles between successive set lanes across every
+// gap, the last set lane as the new baseline, whatever the unset lanes
+// hold.  Widths change between calls, and scalar observations between
+// blocks move the baseline the next seam meets.
+TEST(Slice, ObservePlanesUnderALaneMaskMatchesSequentialObserve) {
+  Rng rng(11);
+  const int stride = CsWord::kWords;
+  const int widths[] = {1, 63, 64, 65, 161, 385, 448};
+  const std::uint64_t all = ~std::uint64_t{0};
+  const std::uint64_t masks[] = {
+      0,                                   // empty
+      1, std::uint64_t{1} << 17, std::uint64_t{1} << 63,  // one lane
+      all << 1,                            // lane 0 clear
+      all >> 1,                            // lane 63 clear
+      all << 9,                            // a gap from lane 0 up
+      0x5555555555555555ull, 0xaaaaaaaaaaaaaaaaull,  // alternating
+      0x00ffff00000ffff0ull,               // long runs, gaps at both ends
+      0xfffffff00000000full,               // long runs, one long gap
+      0x8000000000000001ull,               // the two end lanes
+      0x7ffffffffffffffeull,               // one run, both ends clear
+      all,                                 // every lane
+  };
+  ActivityProbe scalar_probe, sliced_probe;
+  for (int rep = 0; rep < 6; ++rep) {
+    std::vector<std::uint64_t> block_masks(std::begin(masks), std::end(masks));
+    for (int i = 0; i < 8; ++i) block_masks.push_back(rng.next_u64());
+    for (const std::uint64_t mask : block_masks) {
+      const int width = widths[rng.next_below(std::size(widths))];
+      const auto lanes = random_lanes(rng, 64, width, stride);
+      for (int L = 0; L < 64; ++L)
+        if (((mask >> L) & 1u) != 0)
+          scalar_probe.observe(cs_of_lane(lanes, stride, L));
+      std::vector<std::uint64_t> planes((std::size_t)width);
+      slice::pack_words(lanes.data(), stride, 64, width, planes.data());
+      sliced_probe.observe_planes(planes.data(), width, mask);
+      ASSERT_EQ(sliced_probe.toggles(), scalar_probe.toggles())
+          << "width " << width << ", mask " << std::hex << mask;
+      ASSERT_EQ(sliced_probe.observations(), scalar_probe.observations())
+          << "width " << width << ", mask " << std::hex << mask;
+      if (rng.next_bool()) {
+        const int w = widths[rng.next_below(std::size(widths))];
+        const CsWord v = cs_of_lane(random_lanes(rng, 1, w, stride), stride, 0);
+        scalar_probe.observe(v);
+        sliced_probe.observe(v);
+      }
+    }
+  }
+  // An empty mask leaves a fresh probe without a baseline.
+  ActivityProbe fresh;
+  std::vector<std::uint64_t> planes(64, ~std::uint64_t{0});
+  fresh.observe_planes(planes.data(), 64, 0);
+  EXPECT_EQ(fresh.observations(), 0u);
+  fresh.observe(CsWord());
+  EXPECT_EQ(fresh.toggles(), 0u);
 }
 
 }  // namespace

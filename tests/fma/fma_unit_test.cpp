@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -175,6 +176,77 @@ std::vector<OperandTriple> adversarial_stream(std::size_t n,
   return ops;
 }
 
+/// One operation of a lane class the sliced blocks mask: 'd' runs the
+/// whole datapath (every unit), 'p' has A far left of the product (a CS
+/// pass-through, a classic multiplier-only lane), 's' has a NaN or
+/// infinite operand or a zero B or C (no probe on any unit).
+OperandTriple lane_op(Rng& rng, char kind) {
+  double a = rng.next_fp_in_exp_range(-15, 15);
+  double b = rng.next_fp_in_exp_range(-15, 15);
+  double c = rng.next_fp_in_exp_range(-15, 15);
+  if (kind == 'p') {
+    a = std::ldexp(rng.next_double(1.0, 2.0) * (rng.next_bool() ? 1 : -1),
+                   std::ilogb(b) + std::ilogb(c) + (int)rng.next_int(200, 300));
+  } else if (kind == 's') {
+    const double specials[] = {0.0, -0.0, INFINITY, -INFINITY, NAN};
+    switch (rng.next_below(4)) {
+      case 0: b = specials[rng.next_below(2)]; break;  // zero product
+      case 1: c = specials[rng.next_below(2)]; break;
+      case 2: a = specials[2 + rng.next_below(3)]; break;  // A inf or NaN
+      default: {
+        double* slot[] = {&b, &c};
+        *slot[rng.next_below(2)] = specials[2 + rng.next_below(3)];
+      }
+    }
+  }
+  return {PFloat::from_double(kBinary64, a), PFloat::from_double(kBinary64, b),
+          PFloat::from_double(kBinary64, c)};
+}
+
+/// `n` operations, `pass_pct` percent of them with A far left of the
+/// product and the rest ordinary.
+std::vector<OperandTriple> pass_through_stream(std::size_t n, int pass_pct) {
+  Rng rng(4244 + (std::uint64_t)pass_pct);
+  std::vector<OperandTriple> ops;
+  for (std::size_t i = 0; i < n; ++i)
+    ops.push_back(
+        lane_op(rng, (int)rng.next_below(100) < pass_pct ? 'p' : 'd'));
+  return ops;
+}
+
+/// One 64-op block per pattern (lane L takes kind pattern[L]): the first,
+/// last or only datapath lane next to masked lanes of both kinds.
+std::vector<OperandTriple> masked_blocks() {
+  const std::string d(64, 'd');
+  const std::string masked = std::string(32, 'p') + std::string(32, 's');
+  const std::string patterns[] = {
+      "d" + masked.substr(1),                      // only lane 0
+      masked.substr(1) + "d",                      // only lane 63
+      masked.substr(0, 31) + "d" + masked.substr(32),  // only lane 31
+      "s" + d.substr(2) + "p",                     // both end lanes masked
+      "ps" + d.substr(4) + "sp",
+      "pdsdpdsdddsssdddpppd" + std::string(40, 'd') + "pdps",
+      std::string(32, 's') + std::string(32, 'd'),  // first at lane 32
+      std::string(32, 'd') + std::string(32, 'p'),  // last at lane 31
+  };
+  Rng rng(4245);
+  std::vector<OperandTriple> ops;
+  for (const std::string& pat : patterns)
+    for (char kind : pat) ops.push_back(lane_op(rng, kind));
+  // Alternating lanes.
+  for (int L = 0; L < 64; ++L) ops.push_back(lane_op(rng, "dp"[L & 1]));
+  for (int L = 0; L < 64; ++L) ops.push_back(lane_op(rng, "sd"[L & 1]));
+  return ops;
+}
+
+/// `n` operations every unit resolves on its side wires: no probe fires.
+std::vector<OperandTriple> side_wire_stream(std::size_t n) {
+  Rng rng(4246);
+  std::vector<OperandTriple> ops;
+  for (std::size_t i = 0; i < n; ++i) ops.push_back(lane_op(rng, 's'));
+  return ops;
+}
+
 using UnitFactory = std::function<std::unique_ptr<FmaUnit>(
     ActivityRecorder*, const IntrospectHooks*)>;
 
@@ -277,6 +349,55 @@ TEST(FmaUnit, SlicedBatchMatchesScalarAtEveryGeometry) {
     EXPECT_EQ(unit_digest(g, false, w54), unit_digest(g, true, w54))
         << "54-bit A, C " << g.block() << "/" << g.group() << " "
         << to_string(g.select());
+  }
+  // Every lane class in every block: pass-through densities from none to
+  // all, a side-wire-only stream, and blocks whose first, last or only
+  // datapath lane sits next to masked lanes.
+  const std::pair<std::string, std::vector<OperandTriple>> streams[] = {
+      {"0% pass-through", pass_through_stream(512, 0)},
+      {"10% pass-through", pass_through_stream(512, 10)},
+      {"50% pass-through", pass_through_stream(512, 50)},
+      {"100% pass-through", pass_through_stream(512, 100)},
+      {"side wires only", side_wire_stream(256)},
+      {"masked blocks", masked_blocks()},
+  };
+  std::vector<std::pair<std::string, UnitFactory>> units = {
+      {"classic", [](ActivityRecorder* rec, const IntrospectHooks* hooks) {
+         return make_fma_unit(UnitKind::Classic, rec, hooks);
+       }}};
+  for (const CsGeometry& g :
+       {kPcsGeometry, CsGeometry::pcs(62, 31), CsGeometry::pcs(8, 2),
+        kFcsGeometry, CsGeometry::fcs(BlockSelect::Zd)}) {
+    units.push_back({std::to_string(g.block()) + "/" +
+                         std::to_string(g.group()) + " " +
+                         to_string(g.select()),
+                     [g](ActivityRecorder* rec, const IntrospectHooks* hooks) {
+                       return make_cs_unit(g, rec, hooks);
+                     }});
+  }
+  for (const auto& [unit, make] : units) {
+    for (const auto& [stream, ops] : streams) {
+      for (Round rm : {Round::NearestEven, Round::HalfAwayFromZero}) {
+        EXPECT_EQ(digest_of(make, false, ops, rm),
+                  digest_of(make, true, ops, rm))
+            << unit << ", " << stream << ", " << to_string(rm);
+      }
+    }
+    // Side wires drive no probe, so neither path lists one.
+    for (bool scalar : {false, true}) {
+      ActivityRecorder rec;
+      auto u = make(&rec, nullptr);
+      const std::vector<OperandTriple>& ops = streams[4].second;
+      std::vector<PFloat> out(ops.size());
+      if (scalar) {
+        u->FmaUnit::fma_ieee_batch(ops.data(), ops.size(), out.data(), {});
+      } else {
+        u->fma_ieee_batch(ops.data(), ops.size(), out.data(), {});
+      }
+      EXPECT_TRUE(rec.probes().empty())
+          << unit << (scalar ? " scalar" : " sliced") << ": "
+          << rec.to_json();
+    }
   }
 }
 

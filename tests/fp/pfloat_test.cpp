@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -38,6 +41,60 @@ TEST(PFloat, WiderFormatsRepresentDoublesExactly) {
       EXPECT_EQ(f.to_double(), d);
     }
   }
+}
+
+/// from_double as the rounding path computes it: every normal double
+/// through normalize_round, zero and subnormals flushed, Inf and NaN kept.
+PFloat from_double_by_rounding(const FloatFormat& fmt, std::uint64_t bits,
+                               Round rm) {
+  const bool sign = bits >> 63;
+  const int biased = (int)((bits >> 52) & 0x7FF);
+  const std::uint64_t frac = bits & ((std::uint64_t{1} << 52) - 1);
+  if (biased == 0x7FF) {
+    return frac == 0 ? PFloat::inf(fmt, sign) : PFloat::nan(fmt);
+  }
+  if (biased == 0) return PFloat::zero(fmt, sign);
+  return PFloat::normalize_round(fmt, sign,
+                                 WideUint<8>(frac | (std::uint64_t{1} << 52)),
+                                 biased - 1023 - 52, false, rm);
+}
+
+TEST(PFloat, FromDoubleMatchesTheRoundingPath) {
+  // Formats that hold every binary64 normal take no rounding step; the
+  // result must be the rounding path's, bit for bit, in every mode, and a
+  // narrower format must still round.
+  Rng rng(14);
+  std::vector<std::uint64_t> bits = {
+      0, std::uint64_t{1} << 63,                    // +-0
+      1, 0x000fffffffffffffull, 0x800ffffffffffff0ull,  // subnormals
+      0x7ff0000000000000ull, 0xfff0000000000000ull,  // +-Inf
+      0x7ff8000000000000ull, 0xfff0000000000001ull,  // NaN
+      0x0010000000000000ull, 0x8010000000000001ull,  // smallest normals
+      0x7fefffffffffffffull, 0xffefffffffffffffull,  // largest normals
+      0x3ff0000000000000ull, 0x3ff0000040000000ull,  // 1, 1 + 2^-22
+  };
+  for (int i = 0; i < 20000; ++i) bits.push_back(rng.next_u64());
+  const FloatFormat binary32{8, 23};
+  for (const FloatFormat& fmt : {kBinary64, kBinary68, kBinary75,
+                                 FloatFormat{11, 53}, binary32}) {
+    for (Round rm : {Round::NearestEven, Round::HalfAwayFromZero,
+                     Round::TowardZero, Round::TowardPositive,
+                     Round::TowardNegative}) {
+      for (std::uint64_t b : bits) {
+        double d;
+        std::memcpy(&d, &b, sizeof d);
+        const PFloat got = PFloat::from_double(fmt, d, rm);
+        const PFloat want = from_double_by_rounding(fmt, b, rm);
+        ASSERT_EQ(got.cls(), want.cls()) << std::hex << b;
+        ASSERT_EQ(got.to_bits(), want.to_bits())
+            << std::hex << b << " in {" << std::dec << fmt.exp_bits << ", "
+            << fmt.frac_bits << "}, " << to_string(rm);
+      }
+    }
+  }
+  const double d = 1.0 + 0x1p-40;
+  EXPECT_NE(PFloat::from_double(binary32, d, Round::TowardPositive).to_bits(),
+            PFloat::from_double(binary32, d, Round::TowardZero).to_bits());
 }
 
 TEST(PFloat, SubnormalsFlushToZero) {
